@@ -16,7 +16,11 @@ arithmetic, class means are compared entry by entry against the shipped
 table, and the weight vectors are recomputed by exact Gaussian
 elimination.  A separate numeric route evaluates the same functionals
 against induced-pattern densities of concrete step graphons so the two
-pipelines cross-check each other.
+pipelines cross-check each other.  At an exact graphon a functional is
+evaluated exactly from the 18 class totals: they are summed once over
+sorted assignments of the five points (the totals do not change under
+relabelling), in integer arithmetic over common denominators, and dotted
+with the functional's exact class means.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -29,6 +33,7 @@ normalisation.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import PAIRS5, induced_pattern_vector, induced_pattern_vector_exact, m
+from .density import PAIRS5, induced_pattern_vector, m
 from .exactlinalg import mat_vec, rank, solve_unique
 from .graphs import Graph, catalog
 from .graphons import StepGraphon, corner_graphons, random_suite
@@ -368,13 +373,18 @@ def _float_coefficient_matrix():
 
 
 @lru_cache(maxsize=32)
+def _class_means(key):
+    """Exact means of the pattern coefficients of one expression over each class."""
+    coeffs = coefficient_vector(key)
+    return tuple(Fraction(sum(coeffs[pm] for pm in cls.labelled_masks), cls.size)
+                 for cls in enumerate_partition_classes())
+
+
+@lru_cache(maxsize=32)
 def derived_coordinates(key):
     """Class-mean coordinates of one expression; asserts they are integers."""
-    coeffs = coefficient_vector(key)
     out = []
-    for cls in enumerate_partition_classes():
-        total = sum(coeffs[pm] for pm in cls.labelled_masks)
-        mean = Fraction(total, cls.size)
+    for cls, mean in zip(enumerate_partition_classes(), _class_means(key)):
         assert mean.denominator == 1, \
             "expression %r has non-integer coordinate %s on class %d" % (key, mean, cls.index)
         out.append(int(mean))
@@ -519,15 +529,19 @@ def verify_linear_algebra(cert: Certificate) -> LinearAlgebraReport:
 def evaluate_expression(key, w: StepGraphon, exact=None):
     """Value of one expression at a step graphon.
 
-    exact=True forces Fraction arithmetic (needs an exact graphon with at
-    most 5 parts); exact=None picks it automatically when cheap.
+    exact=True returns a Fraction and needs an exact graphon (ValueError
+    otherwise).  It is the sum over the 18 classes of the expression's exact
+    class mean times class_density_totals_exact(w).  That equals the full
+    sum of pattern coefficients times pattern densities exactly: every
+    expression is colour-symmetric, and pattern densities are constant on
+    relabelling orbits.  exact=None picks the exact route for exact graphons
+    with at most 5 parts, and the float route otherwise.
     """
     if exact is None:
         exact = w.exact and w.k <= 5
-    coeffs = coefficient_vector(key)
     if exact:
-        tau = induced_pattern_vector_exact(w)
-        return sum(c * t for c, t in zip(coeffs, tau) if c)
+        totals = class_density_totals_exact(w)
+        return sum(mean * t for mean, t in zip(_class_means(key), totals))
     tau = induced_pattern_vector(w)
     idx = EXPRESSION_KEYS.index(key)
     return float(_float_coefficient_matrix()[idx] @ tau)
@@ -549,6 +563,51 @@ def class_density_totals(w: StepGraphon):
     """Summed labelled-pattern density of each of the 18 classes."""
     tau = induced_pattern_vector(w)
     return np.array([tau[idx].sum() for idx in _class_index_arrays()])
+
+
+def class_density_totals_exact(w: StepGraphon):
+    """Exact class totals of an exact graphon, as a tuple of 18 Fractions.
+
+    Relabelling the five sample points permutes patterns within a class, so
+    the totals only need the sorted assignments of parts to points, each
+    weighted by its multinomial count 5!/prod(c!): 126 multisets instead of
+    3125 assignments at 5 parts.  Values are p/D and weights q/E over common
+    denominators; each multiset's 1024 pattern products are built in
+    integers from the factors x and D - x, binned by class, and divided by
+    D^10 E^5 once at the end.
+    """
+    if not w.exact:
+        raise ValueError("exact class totals need an exact kernel")
+    return _exact_class_totals(w.values, w.weights)
+
+
+@lru_cache(maxsize=8)
+def _exact_class_totals(values, weights):
+    # keyed on the kernel's tuples, so evaluating all 18 expressions at one
+    # kernel enumerates the multisets once
+    den = math.lcm(*(x.denominator for row in values for x in row))
+    wden = math.lcm(*(x.denominator for x in weights))
+    p = [[int(x * den) for x in row] for row in values]
+    q = [int(x * wden) for x in weights]
+    sums = [0] * 18
+    for assign in itertools.combinations_with_replacement(range(len(weights)), 5):
+        weight = 120
+        for part in set(assign):
+            weight //= math.factorial(assign.count(part))
+        for part in assign:
+            weight *= q[part]
+        if not weight:
+            continue
+        prods = [1]
+        for i, j in PAIRS5:
+            x = p[assign[i]][assign[j]]
+            y = den - x
+            prods = [a * y for a in prods] + [a * x for a in prods]
+        prods = np.array(prods, dtype=object)
+        for c, idx in enumerate(_class_index_arrays()):
+            sums[c] += weight * prods[idx].sum()
+    scale = den ** 10 * wden ** 5
+    return tuple(Fraction(s, scale) for s in sums)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Homomorphism densities are evaluated by variable elimination: each edge is a
 factor on two vertex variables, vertices are summed out in a low-fill order,
 and everything is vectorized over a batch of kernels with the same part
-count.  Exact (Fraction) evaluation enumerates assignments directly and is
-meant for small part counts.
+count.  Exact (Fraction) kernels run through the same elimination as a batch
+of one in object arrays, so an exact density costs k^(width+1) Fraction
+operations per eliminated vertex rather than one term per assignment.
+Induced densities still enumerate assignments directly and are meant for
+small part counts.
 """
 from __future__ import annotations
 
@@ -48,10 +51,11 @@ def _align(arr, vars_, target, k):
 
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Homomorphism density of g in a batch of kernels.
-    V is (B, k, k), mu is (B, k); returns (B,).  Isolated vertices contribute
-    factor 1 since each weight vector sums to 1."""
+    V is (B, k, k), mu is (B, k); returns (B,) in V's dtype, so object arrays
+    of Fractions contract exactly.  Isolated vertices contribute factor 1
+    since each weight vector sums to 1."""
     B, k = mu.shape
-    acc = np.ones(B)
+    acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
         return acc
     factors = [((u, v), V) for u, v in g.sorted_edges()]
@@ -94,26 +98,15 @@ def _group_eval(g: Graph, graphons) -> np.ndarray:
 
 
 def _t_exact(g: Graph, values, weights, k: int) -> Fraction:
-    active = [v for v in range(g.n) if g.adj[v]]
-    if not active:
+    if not g.edges:
         return Fraction(1)
-    assert k ** len(active) <= _EXACT_ASSIGNMENT_CAP, "exact evaluation too large"
-    pos = {v: i for i, v in enumerate(active)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    total = Fraction(0)
-    for assign in itertools.product(range(k), repeat=len(active)):
-        term = Fraction(1)
-        for u, v in edges:
-            x = values[assign[u]][assign[v]]
-            if not x:
-                term = Fraction(0)
-                break
-            term *= x
-        if term:
-            for i in assign:
-                term *= weights[i]
-            total += term
-    return total
+    _, width = elimination_order(g)
+    if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
+        raise ValueError("exact evaluation too large: %d parts at elimination width %d"
+                         % (k, width))
+    V = np.array([values], dtype=object)
+    mu = np.array([weights], dtype=object)
+    return Fraction(_t_batch(g, V, mu)[0])
 
 
 def t_hom(g: Graph, w: StepGraphon):

@@ -19,13 +19,15 @@ def _copy(rows):
     return out
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as a list of rows."""
-    a = _copy(rows)
+def _eliminate(a, b=None):
+    """Gauss-Jordan elimination in place on a, with the same row operations
+    applied to the right-hand side b when given.  Each pivot column ends up
+    zero outside its pivot row; returns the pivot columns in row order."""
     m = len(a)
     n = len(a[0]) if m else 0
-    r = 0
+    pivots = []
     for col in range(n):
+        r = len(pivots)
         if r == m:
             break
         piv = None
@@ -36,14 +38,23 @@ def rank(rows) -> int:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        if b is not None:
+            b[r], b[piv] = b[piv], b[r]
         inv = a[r][col]
         for i in range(m):
             if i != r and a[i][col] != 0:
                 f = a[i][col] / inv
                 for j in range(col, n):
                     a[i][j] -= f * a[r][j]
-        r += 1
-    return r
+                if b is not None:
+                    b[i] -= f * b[r]
+        pivots.append(col)
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank of a matrix given as a list of rows."""
+    return len(_eliminate(_copy(rows)))
 
 
 def solve_unique(rows, rhs) -> list[Fraction]:
@@ -53,38 +64,15 @@ def solve_unique(rows, rhs) -> list[Fraction]:
     raises ValueError otherwise.  A may have more rows than columns.
     """
     a = _copy(rows)
-    m = len(a)
-    assert m == len(rhs)
-    n = len(a[0]) if m else 0
+    if len(a) != len(rhs):
+        raise ValueError("%d rows but %d right-hand sides" % (len(a), len(rhs)))
+    n = len(a[0]) if a else 0
     b = [Fraction(x) for x in rhs]
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = a[r][col]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col] / inv
-                for j in range(col, n):
-                    a[i][j] -= f * a[r][j]
-                b[i] -= f * b[r]
-        pivots.append(col)
-        r += 1
+    pivots = _eliminate(a, b)
     if len(pivots) < n:
         raise ValueError("solution is not unique: column rank %d < %d" % (len(pivots), n))
-    for i in range(r, m):
-        if b[i] != 0:
-            raise ValueError("system is inconsistent")
+    if any(x != 0 for x in b[len(pivots):]):
+        raise ValueError("system is inconsistent")
     x = [Fraction(0)] * n
     for row_idx, col in enumerate(pivots):
         x[col] = b[row_idx] / a[row_idx][col]

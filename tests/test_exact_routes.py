@@ -1,0 +1,159 @@
+"""Exact routes against independent oracles: densities through the
+elimination engine against assignment enumeration, certificate values from
+class totals against the full 1024-pattern sum, and the certificate
+identity as exact Fraction equalities."""
+import itertools
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import commonality
+from commonality.certificate import (
+    EXPRESSION_KEYS,
+    coefficient_vector,
+    evaluate_expression,
+    load_certificate,
+)
+from commonality.density import induced_pattern_vector_exact, t_hom, t_signed
+from commonality.graphs import Graph
+from commonality.graphons import StepGraphon, corner_graphons, half
+
+# derandomized and without an example database, so a run is reproducible
+# and writes nothing
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def enumerated_density(g: Graph, values, weights) -> Fraction:
+    # reference oracle: sum over every assignment of parts to the vertices
+    # that carry an edge, one Fraction term per assignment
+    k = len(weights)
+    active = [v for v in range(g.n) if g.adj[v]]
+    pos = {v: i for i, v in enumerate(active)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges]
+    total = Fraction(0)
+    for assign in itertools.product(range(k), repeat=len(active)):
+        term = Fraction(1)
+        for u, v in edges:
+            term *= values[assign[u]][assign[v]]
+        for i in assign:
+            term *= weights[i]
+        total += term
+    return total
+
+
+@st.composite
+def rational_kernels(draw, max_parts=3):
+    k = draw(st.integers(1, max_parts))
+    entry = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    upper = {(i, j): draw(entry) for i in range(k) for j in range(i, k)}
+    values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    raw = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+    return StepGraphon(values, [Fraction(x, sum(raw)) for x in raw])
+
+
+@st.composite
+def small_graphs(draw, max_n=6):
+    # the empty pair set gives the edgeless graph; vertices with no chosen
+    # pair stay isolated
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, b in zip(pairs, keep) if b])
+
+
+def as_float(w: StepGraphon) -> StepGraphon:
+    return StepGraphon([[float(x) for x in row] for row in w.values],
+                       [float(x) for x in w.weights])
+
+
+@EXACT
+@given(rational_kernels(), small_graphs())
+@example(half(), Graph(0))
+@example(half(), Graph(4))
+@example(half(), Graph(5, [(1, 3)]))
+def test_exact_densities_match_enumeration(w, g):
+    got = t_hom(g, w)
+    assert type(got) is Fraction
+    assert got == enumerated_density(g, w.values, w.weights)
+    u = w.signed()
+    got = t_signed(g, u)
+    assert type(got) is Fraction
+    assert got == enumerated_density(g, u.values, u.weights)
+
+
+@settings(EXACT, max_examples=4)
+@given(rational_kernels())
+def test_class_total_route_matches_pattern_sum(w):
+    tau = induced_pattern_vector_exact(w)
+    for key in EXPRESSION_KEYS:
+        want = sum(c * t for c, t in zip(coefficient_vector(key), tau))
+        assert evaluate_expression(key, w, exact=True) == want, key
+
+
+@EXACT
+@given(rational_kernels(), small_graphs())
+def test_float_and_exact_routes_agree(w, g):
+    wf = as_float(w)
+    assert abs(t_hom(g, wf) - float(t_hom(g, w))) <= 1e-9
+    assert abs(t_signed(g, wf.signed()) - float(t_signed(g, w.signed()))) <= 1e-9
+    for key in EXPRESSION_KEYS:
+        exact = evaluate_expression(key, w, exact=True)
+        assert abs(evaluate_expression(key, wf, exact=False) - float(exact)) <= 1e-9, key
+
+
+def seeded_rational_kernel(k: int, rng: random.Random) -> StepGraphon:
+    upper = {(i, j): Fraction(rng.randint(0, 12), 12) for i in range(k) for j in range(i, k)}
+    values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    return StepGraphon(values, [Fraction(x, sum(raw)) for x in raw])
+
+
+def test_certificate_identity_exact():
+    # x_A . (F_j)_{j != 16} == F_vA and x_B . (F_j)_{j != 15} == F_vB as
+    # Fraction equalities, with every column nonnegative
+    cert = load_certificate()
+    keep_a = [j for j in range(16) if j != 15]
+    keep_b = [j for j in range(16) if j != 14]
+    pos_a = EXPRESSION_KEYS.index("vA")
+    pos_b = EXPRESSION_KEYS.index("vB")
+    rng = random.Random(1906)
+    kernels = [seeded_rational_kernel(k, rng) for k in (1, 2, 3, 4, 5) for _ in range(2)]
+    for w in kernels + corner_graphons():
+        vals = [evaluate_expression(key, w, exact=True) for key in EXPRESSION_KEYS]
+        assert all(type(v) is Fraction for v in vals)
+        assert all(v >= 0 for v in vals[:16])
+        assert sum(x * vals[j] for x, j in zip(cert.weights_a, keep_a)) == vals[pos_a]
+        assert sum(x * vals[j] for x, j in zip(cert.weights_b, keep_b)) == vals[pos_b]
+
+
+def test_exact_guards_raise_value_error_under_optimize():
+    # both guards must survive python -O, which strips assert statements
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from commonality.certificate import evaluate_expression",
+        "from commonality.density import t_hom",
+        "from commonality.graphs import catalog",
+        "from commonality.graphons import StepGraphon, constant_graphon",
+        "cases = [lambda: evaluate_expression(1, StepGraphon([[0.5]], [1.0]), exact=True),",
+        "         lambda: t_hom(catalog('k5'), constant_graphon(Fraction(1, 2), k=40))]",
+        "for case in cases:",
+        "    try:",
+        "        case()",
+        "    except ValueError:",
+        "        print('ValueError')",
+        "    else:",
+        "        print('returned')",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ValueError"]
+
