@@ -3,7 +3,11 @@
 Homomorphism densities are evaluated by variable elimination: each edge is a
 factor on two vertex variables, vertices are summed out in a low-fill order,
 and everything is vectorized over a batch of kernels with the same part
-count.  Exact (Fraction) kernels run through the same elimination as a batch
+count.  Each (graph, part count) is compiled once into a cached plan of
+elimination steps.  The batched functions pack each part-count group of
+their input once into float arrays and take the complement 1 - w and the
+signed kernel 2w - 1 on those arrays, without building kernel objects.
+Exact (Fraction) kernels run through the same elimination as a batch
 of one in object arrays, so an exact density costs k^(width+1) Fraction
 operations per eliminated vertex rather than one term per assignment.
 Induced densities still enumerate assignments directly and are meant for
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,11 +47,35 @@ def elimination_order(g: Graph):
     return order, width
 
 
-def _align(arr, vars_, target, k):
-    # vars_ and target are sorted tuples with vars_ a subset of target;
-    # inserting singleton axes keeps the memory order consistent
-    shape = [arr.shape[0]] + [k if t in vars_ else 1 for t in target]
-    return arr.reshape(shape)
+@lru_cache(maxsize=256)
+def _plan(g: Graph, k: int):
+    """Compiled elimination of g at k parts, as (steps, width).
+
+    Factor slots start as one per sorted edge (each the (B, k, k) kernel);
+    every eliminated vertex is one step (inputs, weight_shape, axis, scalar),
+    where inputs are (slot, broadcast shape) pairs in slot order and each
+    shape leads with -1 for the batch.  A step multiplies its inputs, sums
+    the vertex out against the weights and either appends the result as a
+    new slot or, when no variable is left, multiplies it into the result.
+    width is elimination_order's, for the exact-size guard."""
+    order, width = elimination_order(g)
+    slot_vars = g.sorted_edges()
+    live = set(range(len(slot_vars)))
+    steps = []
+    for v in order:
+        involved = sorted(i for i in live if v in slot_vars[i])
+        live.difference_update(involved)
+        union = tuple(sorted(set().union(*(slot_vars[i] for i in involved))))
+        inputs = tuple((i, (-1,) + tuple(k if t in slot_vars[i] else 1 for t in union))
+                       for i in involved)
+        axis = 1 + union.index(v)
+        weight_shape = (-1,) + tuple(k if t == v else 1 for t in union)
+        rest = tuple(u for u in union if u != v)
+        if rest:
+            live.add(len(slot_vars))
+            slot_vars.append(rest)
+        steps.append((inputs, weight_shape, axis, not rest))
+    return tuple(steps), width
 
 
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -58,49 +87,46 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
         return acc
-    factors = [((u, v), V) for u, v in g.sorted_edges()]
-    order, _ = elimination_order(g)
-    for v in order:
-        involved = [(vs, a) for vs, a in factors if v in vs]
-        factors = [(vs, a) for vs, a in factors if v not in vs]
-        union = tuple(sorted(set().union(*(vs for vs, _ in involved))))
-        joint = _align(involved[0][1], involved[0][0], union, k)
-        for vs, a in involved[1:]:
-            joint = joint * _align(a, vs, union, k)
-        axis = 1 + union.index(v)
-        mshape = [B] + [k if i == axis else 1 for i in range(1, len(union) + 1)]
-        joint = (joint * mu.reshape(mshape)).sum(axis=axis)
-        rest = tuple(u for u in union if u != v)
-        if rest:
-            factors.append((rest, joint))
+    steps, _ = _plan(g, k)
+    slots = [V] * g.e
+    for inputs, weight_shape, axis, scalar in steps:
+        (i, shape), *more = inputs
+        joint = slots[i].reshape(shape)
+        slots[i] = None
+        for i, shape in more:
+            joint = joint * slots[i].reshape(shape)
+            slots[i] = None
+        joint = (joint * mu.reshape(weight_shape)).sum(axis=axis)
+        if scalar:
+            acc = acc * joint
         else:
-            acc = acc * joint.reshape(B)
-    for _, a in factors:
-        acc = acc * a.reshape(B)
+            slots.append(joint)
     return acc
 
 
-def _stack(graphons):
-    V = np.stack([np.array(w.values, dtype=np.float64) for w in graphons])
-    mu = np.stack([np.array(w.weights, dtype=np.float64) for w in graphons])
-    return V, mu
+def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Monochromatic density of g in a batch of float kernels."""
+    return _t_batch(g, V, mu) + _t_batch(g, 1.0 - V, mu)
 
 
-def _group_eval(g: Graph, graphons) -> np.ndarray:
-    out = np.empty(len(graphons))
+def _packed(kernels):
+    """Kernels grouped by part count, each group packed once: yields
+    (indices, V, mu) with V (B, k, k) and mu (B, k) in float64."""
     by_k = {}
-    for i, w in enumerate(graphons):
+    for i, w in enumerate(kernels):
         by_k.setdefault(w.k, []).append(i)
+    flat = itertools.chain.from_iterable
     for k, idxs in by_k.items():
-        V, mu = _stack([graphons[i] for i in idxs])
-        out[idxs] = _t_batch(g, V, mu)
-    return out
+        group = [kernels[i] for i in idxs]
+        V = np.fromiter(flat(flat(w.values for w in group)), np.float64, len(group) * k * k)
+        mu = np.fromiter(flat(w.weights for w in group), np.float64, len(group) * k)
+        yield idxs, V.reshape(-1, k, k), mu.reshape(-1, k)
 
 
 def _t_exact(g: Graph, values, weights, k: int) -> Fraction:
     if not g.edges:
         return Fraction(1)
-    _, width = elimination_order(g)
+    _, width = _plan(g, k)
     if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
         raise ValueError("exact evaluation too large: %d parts at elimination width %d"
                          % (k, width))
@@ -126,11 +152,14 @@ def t_signed(g: Graph, u: SignedStepGraphon):
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
-    return _group_eval(g, graphons)
+    out = np.empty(len(graphons))
+    for idxs, V, mu in _packed(graphons):
+        out[idxs] = _t_batch(g, V, mu)
+    return out
 
 
 def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
-    return _group_eval(g, signed_graphons)
+    return t_hom_many(g, signed_graphons)
 
 
 def m(g: Graph, w: StepGraphon):
@@ -139,7 +168,10 @@ def m(g: Graph, w: StepGraphon):
 
 
 def m_many(g: Graph, graphons) -> np.ndarray:
-    return _group_eval(g, graphons) + _group_eval(g, [w.one_minus() for w in graphons])
+    out = np.empty(len(graphons))
+    for idxs, V, mu in _packed(graphons):
+        out[idxs] = _m_batch(g, V, mu)
+    return out
 
 
 def expansion_value(g: Graph, w: StepGraphon):
@@ -160,12 +192,15 @@ def expansion_value(g: Graph, w: StepGraphon):
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:
-    signed = [w.signed() for w in graphons]
     ex = even_expansion(g)
     scale = float(Fraction(2) ** (1 - g.e))
-    total = np.zeros(len(graphons))
-    for f, c in ex.items():
-        total += float(c) * _group_eval(f, signed)
+    total = np.empty(len(graphons))
+    for idxs, V, mu in _packed(graphons):
+        U = 2.0 * V - 1.0
+        part = np.zeros(len(idxs))
+        for f, c in ex.items():
+            part += float(c) * _t_batch(f, U, mu)
+        total[idxs] = part
     return scale * total
 
 
@@ -175,7 +210,8 @@ def t_induced(g: Graph, w: StepGraphon):
     if n == 0:
         return Fraction(1) if w.exact else 1.0
     exact = w.exact
-    assert k ** n <= _EXACT_ASSIGNMENT_CAP, "induced evaluation too large"
+    if k ** n > _EXACT_ASSIGNMENT_CAP:
+        raise ValueError("induced evaluation too large: %d parts on %d vertices" % (k, n))
     one = Fraction(1) if exact else 1.0
     total = Fraction(0) if exact else 0.0
     for assign in itertools.product(range(k), repeat=n):
@@ -206,7 +242,8 @@ def induced_pattern_vector(w: StepGraphon) -> np.ndarray:
     pair bitmask over PAIRS5.  The entries sum to 1."""
     V, mu = w.as_arrays()
     k = w.k
-    assert k <= 8, "pattern vector capped at 8 parts"
+    if k > 8:
+        raise ValueError("pattern vector capped at 8 parts, got %d" % k)
     idx = np.indices((k,) * 5).reshape(5, -1)
     weight = mu[idx].prod(axis=0)
     acc = np.ones((idx.shape[1], 1))
@@ -218,9 +255,11 @@ def induced_pattern_vector(w: StepGraphon) -> np.ndarray:
 
 def induced_pattern_vector_exact(w: StepGraphon):
     """Exact Fraction version of induced_pattern_vector; small k only."""
-    assert w.exact, "exact pattern vector needs an exact kernel"
+    if not w.exact:
+        raise ValueError("exact pattern vector needs an exact kernel")
     k = w.k
-    assert k ** 5 <= 4096, "exact pattern vector capped at small part counts"
+    if k ** 5 > 4096:
+        raise ValueError("exact pattern vector capped at 5 parts, got %d" % k)
     out = [Fraction(0)] * 1024
     for assign in itertools.product(range(k), repeat=5):
         weight = Fraction(1)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import _t_batch
+from .density import _m_batch
 from .graphs import Graph, canonical_form
 from .graphons import StepGraphon
 
@@ -250,7 +250,7 @@ def grid_minimum_two_parts(h: Graph, resolution: int = 64):
     for wi in range(steps):
         u = wi / resolution
         mu = np.tile(np.array([u, 1.0 - u]), (V.shape[0], 1))
-        tot = _t_batch(h, V, mu) + _t_batch(h, 1.0 - V, mu)
+        tot = _m_batch(h, V, mu)
         i = int(np.argmin(tot))
         if tot[i] < best_val:
             best_val, best_kernel, best_u = float(tot[i]), V[i].copy(), u

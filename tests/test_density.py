@@ -1,13 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from commonality.graphs import Graph, catalog, complement
+from commonality.graphs import Graph, catalog, complement, even_expansion
 from commonality.graphons import (
     StepGraphon,
     block_graphon,
     constant_graphon,
+    corner_graphons,
     half,
     random_suite,
 )
@@ -25,6 +27,7 @@ from commonality.density import (
     t_hom_many,
     t_induced,
     t_signed,
+    t_signed_many,
 )
 
 RATIONAL_W = StepGraphon(
@@ -121,13 +124,30 @@ def test_expansion_value_float_suite():
 
 
 def test_many_matches_single():
-    suite = random_suite(9, seed=3)
-    g = catalog("c5")
-    ts = t_hom_many(g, suite)
-    ms = m_many(g, suite)
-    for i, w in enumerate(suite):
-        assert abs(ts[i] - t_hom(g, w)) < 1e-12
-        assert abs(ms[i] - m(g, w)) < 1e-12
+    # part counts 1..4 shuffled together, then the exact corner kernels: the
+    # batched outputs must come back in input order, and each graph runs at
+    # every part count in turn
+    floats = random_suite(24, seed=3, ks=(1, 2, 3, 4))
+    random.Random(3).shuffle(floats)
+    suite = floats + corner_graphons()
+    for name in ("c5", "k3", "k4", "jst"):
+        g = catalog(name)
+        ts = t_hom_many(g, suite)
+        ms = m_many(g, suite)
+        xs = expansion_value_many(g, suite)
+        for i, w in enumerate(suite):
+            assert abs(ts[i] - t_hom(g, w)) < 1e-12
+            assert abs(ms[i] - m(g, w)) < 1e-12
+            assert abs(xs[i] - expansion_value(g, w)) < 1e-12
+        # the flip and the signing on packed arrays equal the kernel-object route
+        n = len(floats)
+        flipped = t_hom_many(g, floats) + t_hom_many(g, [w.one_minus() for w in floats])
+        assert np.array_equal(ms[:n], flipped)
+        signed = [w.signed() for w in floats]
+        total = np.zeros(n)
+        for f, c in even_expansion(g).items():
+            total += float(c) * t_signed_many(f, signed)
+        assert np.array_equal(xs[:n], float(Fraction(2) ** (1 - g.e)) * total)
 
 
 def test_elimination_order_widths():

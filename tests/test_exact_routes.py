@@ -132,15 +132,18 @@ def test_certificate_identity_exact():
 
 
 def test_exact_guards_raise_value_error_under_optimize():
-    # both guards must survive python -O, which strips assert statements
+    # every size and exactness guard must survive python -O, which strips
+    # assert statements
     script = "\n".join([
         "from fractions import Fraction",
         "from commonality.certificate import evaluate_expression",
-        "from commonality.density import t_hom",
-        "from commonality.graphs import catalog",
+        "from commonality.density import induced_pattern_vector_exact, t_hom, t_induced",
+        "from commonality.graphs import Graph, catalog",
         "from commonality.graphons import StepGraphon, constant_graphon",
         "cases = [lambda: evaluate_expression(1, StepGraphon([[0.5]], [1.0]), exact=True),",
-        "         lambda: t_hom(catalog('k5'), constant_graphon(Fraction(1, 2), k=40))]",
+        "         lambda: t_hom(catalog('k5'), constant_graphon(Fraction(1, 2), k=40)),",
+        "         lambda: t_induced(Graph(6), constant_graphon(Fraction(1, 2), k=12)),",
+        "         lambda: induced_pattern_vector_exact(StepGraphon([[0.5]], [1.0]))]",
         "for case in cases:",
         "    try:",
         "        case()",
@@ -155,5 +158,5 @@ def test_exact_guards_raise_value_error_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError", "ValueError"]
+    assert proc.stdout.split() == ["ValueError"] * 4
 
