@@ -14,13 +14,13 @@ classes are enumerated as orbits of the 1024 labelled patterns, each
 expression is expanded into its 1024 pattern coefficients with Fraction
 arithmetic, class means are compared entry by entry against the shipped
 table, and the weight vectors are recomputed by exact Gaussian
-elimination.  A separate numeric route evaluates the same functionals
-against induced-pattern densities of concrete step graphons so the two
-pipelines cross-check each other.  At an exact graphon a functional is
-evaluated exactly from the 18 class totals: they are summed once over
-sorted assignments of the five points (the totals do not change under
-relabelling), in integer arithmetic over common denominators, and dotted
-with the functional's exact class means.
+elimination.  A functional is evaluated at a concrete step graphon as its
+class means dotted with the 18 class totals.  One enumerator computes the
+totals for both routes: it sums over sorted assignments of parts to the
+five points (the totals do not change under relabelling), in float64 for
+float graphons and in integer arithmetic over common denominators for
+exact ones.  The full 1024-pattern vector over all k^5 assignments is kept
+only as the independent route of cross_validate_columns.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -529,28 +529,25 @@ def verify_linear_algebra(cert: Certificate) -> LinearAlgebraReport:
 def evaluate_expression(key, w: StepGraphon, exact=None):
     """Value of one expression at a step graphon.
 
-    exact=True returns a Fraction and needs an exact graphon (ValueError
-    otherwise).  It is the sum over the 18 classes of the expression's exact
-    class mean times class_density_totals_exact(w).  That equals the full
-    sum of pattern coefficients times pattern densities exactly: every
-    expression is colour-symmetric, and pattern densities are constant on
-    relabelling orbits.  exact=None picks the exact route for exact graphons
-    with at most 5 parts, and the float route otherwise.
+    Both routes are the expression's class means dotted with the 18 class
+    totals of one multiset enumeration (see class_density_totals).  That
+    equals the full sum of pattern coefficients times pattern densities:
+    every expression is colour-symmetric, and pattern densities are constant
+    on relabelling orbits.  exact=True returns a Fraction and needs an exact
+    graphon (ValueError otherwise); exact=None picks the exact route for
+    exact graphons with at most 5 parts, and the float route otherwise.
     """
     if exact is None:
         exact = w.exact and w.k <= 5
     if exact:
         totals = class_density_totals_exact(w)
         return sum(mean * t for mean, t in zip(_class_means(key), totals))
-    tau = induced_pattern_vector(w)
-    idx = EXPRESSION_KEYS.index(key)
-    return float(_float_coefficient_matrix()[idx] @ tau)
+    return float(evaluate_all_expressions(w)[EXPRESSION_KEYS.index(key)])
 
 
 def evaluate_all_expressions(w: StepGraphon):
     """Float values of all 18 expressions at once, in EXPRESSION_KEYS order."""
-    tau = induced_pattern_vector(w)
-    return _float_coefficient_matrix() @ tau
+    return _float_class_means() @ class_density_totals(w)
 
 
 @lru_cache(maxsize=1)
@@ -559,55 +556,67 @@ def _class_index_arrays():
             for cls in enumerate_partition_classes()]
 
 
+@lru_cache(maxsize=1)
+def _float_class_means():
+    # row per expression, column per class
+    coeffs = _float_coefficient_matrix()
+    return np.stack([coeffs[:, idx].mean(axis=1) for idx in _class_index_arrays()], axis=1)
+
+
 def class_density_totals(w: StepGraphon):
-    """Summed labelled-pattern density of each of the 18 classes."""
-    tau = induced_pattern_vector(w)
-    return np.array([tau[idx].sum() for idx in _class_index_arrays()])
+    """Summed labelled-pattern density of each of the 18 classes, in float.
+
+    Relabelling the five sample points permutes patterns within a class, so
+    the totals only need the sorted assignments of parts to points, each
+    weighted by its multinomial count 5!/prod(c!): C(k+4, 5) multisets
+    instead of k^5 assignments (792 against 32768 at 8 parts, the cap).
+    """
+    return np.array(_class_totals(w.values, w.weights, False))
 
 
 def class_density_totals_exact(w: StepGraphon):
     """Exact class totals of an exact graphon, as a tuple of 18 Fractions.
 
-    Relabelling the five sample points permutes patterns within a class, so
-    the totals only need the sorted assignments of parts to points, each
-    weighted by its multinomial count 5!/prod(c!): 126 multisets instead of
-    3125 assignments at 5 parts.  Values are p/D and weights q/E over common
-    denominators; each multiset's 1024 pattern products are built in
-    integers from the factors x and D - x, binned by class, and divided by
-    D^10 E^5 once at the end.
+    The same multiset enumeration as class_density_totals, with values p/D
+    and weights q/E over common denominators: the pattern products are
+    built in integers from the factors x and D - x, binned by class, and
+    divided by D^10 E^5 once at the end.
     """
     if not w.exact:
         raise ValueError("exact class totals need an exact kernel")
-    return _exact_class_totals(w.values, w.weights)
+    return _class_totals(w.values, w.weights, True)
 
 
 @lru_cache(maxsize=8)
-def _exact_class_totals(values, weights):
+def _class_totals(values, weights, exact):
     # keyed on the kernel's tuples, so evaluating all 18 expressions at one
     # kernel enumerates the multisets once
-    den = math.lcm(*(x.denominator for row in values for x in row))
-    wden = math.lcm(*(x.denominator for x in weights))
-    p = [[int(x * den) for x in row] for row in values]
-    q = [int(x * wden) for x in weights]
-    sums = [0] * 18
-    for assign in itertools.combinations_with_replacement(range(len(weights)), 5):
-        weight = 120
-        for part in set(assign):
-            weight //= math.factorial(assign.count(part))
-        for part in assign:
-            weight *= q[part]
-        if not weight:
-            continue
-        prods = [1]
-        for i, j in PAIRS5:
-            x = p[assign[i]][assign[j]]
-            y = den - x
-            prods = [a * y for a in prods] + [a * x for a in prods]
-        prods = np.array(prods, dtype=object)
-        for c, idx in enumerate(_class_index_arrays()):
-            sums[c] += weight * prods[idx].sum()
-    scale = den ** 10 * wden ** 5
-    return tuple(Fraction(s, scale) for s in sums)
+    k = len(weights)
+    if k > 8:
+        raise ValueError("class totals capped at 8 parts, got %d" % k)
+    if exact:
+        den = math.lcm(*(x.denominator for row in values for x in row))
+        wden = math.lcm(*(x.denominator for x in weights))
+        V = np.array([[int(x * den) for x in row] for row in values], dtype=object)
+        mu = np.array([int(x * wden) for x in weights], dtype=object)
+    else:
+        den = 1.0
+        V = np.array(values, dtype=np.float64)
+        mu = np.array(weights, dtype=np.float64)
+    multisets = list(itertools.combinations_with_replacement(range(k), 5))
+    counts = np.array([120 // math.prod(math.factorial(a.count(p)) for p in set(a))
+                       for a in multisets], dtype=V.dtype)
+    idx = np.array(multisets).T
+    acc = (counts * mu[idx].prod(axis=0))[:, None]
+    for i, j in PAIRS5:
+        x = V[idx[i], idx[j]][:, None]
+        acc = np.concatenate([acc * (den - x), acc * x], axis=1)
+    patterns = acc.sum(axis=0)
+    totals = [patterns[c].sum() for c in _class_index_arrays()]
+    if exact:
+        scale = den ** 10 * wden ** 5
+        return tuple(Fraction(t, scale) for t in totals)
+    return tuple(totals)
 
 
 @dataclass(frozen=True)
@@ -626,11 +635,12 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
                            tolerance=1e-8) -> CrossValidationReport:
     """Evaluate every expression along two independent numeric routes.
 
-    Route one expands each expression over labelled pattern coefficients;
-    route two combines the shipped class coordinates with per-class
-    density totals.  The five density-excess expressions get a third
-    route through plain subgraph densities.  All routes must agree to
-    within the tolerance on every graphon of the suite.
+    Route one expands each expression over labelled pattern coefficients
+    against the full k^5-assignment pattern vector; route two combines the
+    shipped class coordinates with the multiset class totals.  The five
+    density-excess expressions get a third route through plain subgraph
+    densities.  All routes must agree to within the tolerance on every
+    graphon of the suite.
     """
     if cert is None:
         cert = load_certificate()
@@ -645,7 +655,7 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
     route_gap = 0.0
     direct_gap = 0.0
     for w in suite:
-        vals = evaluate_all_expressions(w)
+        vals = _float_coefficient_matrix() @ induced_pattern_vector(w)
         totals = class_density_totals(w)
         for pos, key in enumerate(EXPRESSION_KEYS):
             # class coordinates are means of a vector that is not constant

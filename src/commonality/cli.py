@@ -149,7 +149,7 @@ def _cmd_minimize(args) -> int:
     cfg = MinimizeConfig(parts=args.parts, restarts=args.restarts,
                          max_iter=args.max_iter, seed=args.seed,
                          optimize_weights=args.optimize_weights)
-    res = minimize_m(_load_graph(args.graph), cfg, threads=args.threads)
+    res = minimize_m(_load_graph(args.graph), cfg)
     sys.stdout.write(res.tsv())
     sys.stdout.write(format_graphon(res.graphon))
     return 0
@@ -183,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rational arithmetic; needs fraction-valued inputs")
     shared.add_argument("--tolerance", type=float, default=1e-9)
     shared.add_argument("--seed", type=int, default=2026)
-    shared.add_argument("--threads", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="commonality",

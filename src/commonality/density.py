@@ -10,8 +10,6 @@ signed kernel 2w - 1 on those arrays, without building kernel objects.
 Exact (Fraction) kernels run through the same elimination as a batch
 of one in object arrays, so an exact density costs k^(width+1) Fraction
 operations per eliminated vertex rather than one term per assignment.
-Induced densities still enumerate assignments directly and are meant for
-small part counts.
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, complement, even_expansion
+from .graphs import Graph, even_expansion
 from .graphons import SignedStepGraphon, StepGraphon
 
 # pair order for 5-point patterns: bit p of a mask is the pair PAIRS5[p]
@@ -204,42 +202,11 @@ def expansion_value_many(g: Graph, graphons) -> np.ndarray:
     return scale * total
 
 
-def t_induced(g: Graph, w: StepGraphon):
-    """Density of g as an induced subgraph pattern on labelled samples."""
-    n, k = g.n, w.k
-    if n == 0:
-        return Fraction(1) if w.exact else 1.0
-    exact = w.exact
-    if k ** n > _EXACT_ASSIGNMENT_CAP:
-        raise ValueError("induced evaluation too large: %d parts on %d vertices" % (k, n))
-    one = Fraction(1) if exact else 1.0
-    total = Fraction(0) if exact else 0.0
-    for assign in itertools.product(range(k), repeat=n):
-        term = one
-        for u in range(n):
-            for v in range(u + 1, n):
-                x = w.values[assign[u]][assign[v]]
-                term = term * (x if g.has_edge(u, v) else one - x)
-                if not term:
-                    break
-            if not term:
-                break
-        if term:
-            weight = one
-            for i in assign:
-                weight *= w.weights[i]
-            total += term * weight
-    return total
-
-
-def symmetrized_induced(g: Graph, w: StepGraphon):
-    """t_induced of g plus t_induced of its complement."""
-    return t_induced(g, w) + t_induced(complement(g), w)
-
-
 def induced_pattern_vector(w: StepGraphon) -> np.ndarray:
     """Induced densities of all 1024 labelled 5-point patterns, indexed by
-    pair bitmask over PAIRS5.  The entries sum to 1."""
+    pair bitmask over PAIRS5.  The entries sum to 1.  Every one of the k^5
+    assignments is enumerated, so the certificate keeps this only as the
+    independent route of its cross-validation."""
     V, mu = w.as_arrays()
     k = w.k
     if k > 8:
@@ -251,26 +218,3 @@ def induced_pattern_vector(w: StepGraphon) -> np.ndarray:
         vij = V[idx[i], idx[j]][:, None]
         acc = np.concatenate([acc * (1.0 - vij), acc * vij], axis=1)
     return weight @ acc
-
-
-def induced_pattern_vector_exact(w: StepGraphon):
-    """Exact Fraction version of induced_pattern_vector; small k only."""
-    if not w.exact:
-        raise ValueError("exact pattern vector needs an exact kernel")
-    k = w.k
-    if k ** 5 > 4096:
-        raise ValueError("exact pattern vector capped at 5 parts, got %d" % k)
-    out = [Fraction(0)] * 1024
-    for assign in itertools.product(range(k), repeat=5):
-        weight = Fraction(1)
-        for i in assign:
-            weight *= w.weights[i]
-        if not weight:
-            continue
-        vals = [Fraction(1)]
-        for i, j in PAIRS5:
-            x = w.values[assign[i]][assign[j]]
-            vals = [a * (1 - x) for a in vals] + [a * x for a in vals]
-        for mask in range(1024):
-            out[mask] += weight * vals[mask]
-    return out

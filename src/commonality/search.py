@@ -11,7 +11,6 @@ count monochromatic labelled copies (injective vertex maps) over all
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +42,9 @@ def _t_value_gradient(h: Graph, V: np.ndarray, mu: np.ndarray, with_weights: boo
     active = [v for v in range(h.n) if h.adj[v]]
     if not active:
         return 1.0, np.zeros((k, k)), np.zeros(k)
-    assert k ** len(active) <= _GRAD_ASSIGNMENT_CAP, "gradient enumeration too large"
+    if k ** len(active) > _GRAD_ASSIGNMENT_CAP:
+        raise ValueError("gradient enumeration too large: %d parts on %d vertices"
+                         % (k, len(active)))
     pos = {v: i for i, v in enumerate(active)}
     edges = [(pos[u], pos[v]) for u, v in h.sorted_edges()]
     e = len(edges)
@@ -197,13 +198,12 @@ def _descend(h: Graph, V: np.ndarray, mu: np.ndarray, cfg: MinimizeConfig):
     return val, V, mu, trace
 
 
-def minimize_m(h: Graph, cfg: MinimizeConfig | None = None, threads: int = 1) -> MinimizeResult:
+def minimize_m(h: Graph, cfg: MinimizeConfig | None = None) -> MinimizeResult:
     """Multistart projected gradient descent on m_h over step kernels.
 
-    Deterministic given the config; restarts are independent (each carries
-    its own generator keyed by (seed, restart)), so the thread count changes
-    nothing but wall time.  The reported value can only overestimate the true
-    minimum, and never exceeds m at the half kernel.
+    Deterministic given the config: each restart carries its own generator
+    keyed by (seed, restart).  The reported value can only overestimate the
+    true minimum, and never exceeds m at the half kernel.
     """
     cfg = cfg or MinimizeConfig()
     target = Fraction(2) ** (1 - h.e)
@@ -214,12 +214,8 @@ def minimize_m(h: Graph, cfg: MinimizeConfig | None = None, threads: int = 1) ->
         val, V, mu, trace = _descend(h, _start_matrix(cfg.parts, r, rng), mu0.copy(), cfg)
         return val, r, V, mu, trace
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(r) for r in range(cfg.restarts)]
-    val, r, V, mu, trace = min(results, key=lambda t: (t[0], t[1]))
+    val, r, V, mu, trace = min((run(r) for r in range(cfg.restarts)),
+                               key=lambda t: (t[0], t[1]))
 
     tf = float(target)
     if val < tf - VERDICT_BAND:

@@ -10,6 +10,7 @@ import pytest
 
 from commonality.certificate import (
     EXPRESSION_KEYS,
+    _float_coefficient_matrix,
     check_derivation,
     class_density_totals,
     class_of_mask,
@@ -23,13 +24,14 @@ from commonality.certificate import (
     load_certificate,
     verify_linear_algebra,
 )
-from commonality.density import m
+from commonality.density import induced_pattern_vector, m
 from commonality.graphs import are_isomorphic, catalog, drop_isolated
 from commonality.graphons import (
     StepGraphon,
     constant_graphon,
     corner_graphons,
     half,
+    random_graphon,
     random_suite,
 )
 
@@ -168,6 +170,19 @@ def test_class_totals_partition_unity():
         totals = class_density_totals(w)
         assert abs(totals.sum() - 1.0) < 1e-9
         assert totals.min() > -1e-12
+
+
+def test_multiset_totals_match_full_pattern_vector_up_to_eight_parts():
+    # the multiset route against the k^5-assignment pattern vector, past the
+    # k <= 4 of the random suites, up to the 8-part cap
+    rng = np.random.default_rng(58)
+    index = [np.array(cls.labelled_masks) for cls in enumerate_partition_classes()]
+    for w in [random_graphon(k, rng) for k in (5, 6, 7, 8)] + corner_graphons():
+        tau = induced_pattern_vector(w)
+        want = np.array([tau[idx].sum() for idx in index])
+        assert np.abs(class_density_totals(w) - want).max() <= 1e-13
+        ref = _float_coefficient_matrix() @ tau
+        assert np.allclose(evaluate_all_expressions(w), ref, rtol=1e-10, atol=1e-12)
 
 
 def test_columns_nonnegative_on_suite():

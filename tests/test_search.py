@@ -123,10 +123,10 @@ def test_minimize_finds_tailed_triangle_witness():
     assert res.value <= GRID32_K3PLUS + 1e-3
 
 
-def test_minimize_thread_count_changes_nothing():
+def test_minimize_seeded_runs_repeat():
     cfg = MinimizeConfig(parts=2, restarts=6, max_iter=80)
-    a = minimize_m(catalog("k3plus"), cfg, threads=1)
-    b = minimize_m(catalog("k3plus"), cfg, threads=3)
+    a = minimize_m(catalog("k3plus"), cfg)
+    b = minimize_m(catalog("k3plus"), cfg)
     assert a.value == b.value
     assert a.restart_index == b.restart_index
     assert a.graphon == b.graphon
