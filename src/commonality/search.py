@@ -6,7 +6,8 @@ from several deterministic starts; it can only certify upper bounds on the
 minimum, never the minimum itself.  A brute grid scan over two-part kernels
 is kept alongside as an optimizer-free cross-check.  Finite multiplicities
 count monochromatic labelled copies (injective vertex maps) over all
-2-colourings of the complete graph, exactly.
+2-colourings of the complete graph, exactly, walking every red graph class
+on n - 1 points with every neighbourhood of the last point.
 """
 from __future__ import annotations
 
@@ -123,11 +124,15 @@ class MinimizeConfig:
     box: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        assert self.parts >= 1, "need at least one part"
-        assert self.restarts >= 1, "need at least one restart"
-        assert self.max_iter >= 1
+        if self.parts < 1:
+            raise ValueError("need at least one part")
+        if self.restarts < 1:
+            raise ValueError("need at least one restart")
+        if self.max_iter < 1:
+            raise ValueError("need at least one evaluation per restart")
         lo, hi = self.box
-        assert 0.0 <= lo < hi <= 1.0, "projection box must sit inside [0,1]"
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError("projection box must sit inside [0,1]")
 
 
 @dataclass
@@ -233,7 +238,8 @@ def grid_minimum_two_parts(h: Graph, resolution: int = 64):
     No calculus, no starts, no step sizes: an independent floor estimate used
     to sanity-check the optimizer.  Returns (best value, best kernel).
     """
-    assert resolution >= 1
+    if resolution < 1:
+        raise ValueError("grid resolution must be at least 1")
     steps = resolution + 1
     vals = np.linspace(0.0, 1.0, steps)
     aa, bb, cc = np.meshgrid(vals, vals, vals, indexing="ij")
@@ -274,19 +280,6 @@ def _copy_masks(h: Graph, n: int):
     return counts
 
 
-def _ramsey_brute(h: Graph, n: int) -> int:
-    """Minimum over all 2^C(n,2) colourings directly; n <= 6 territory."""
-    pairs = n * (n - 1) // 2
-    assert pairs <= 16, "full colouring enumeration capped at 16 pairs"
-    colour = np.arange(1 << pairs, dtype=np.uint32)
-    total = np.zeros(1 << pairs, dtype=np.int64)
-    for mask, mult in _copy_masks(h, n).items():
-        covered = colour & np.uint32(mask)
-        total += mult * ((covered == mask).astype(np.int64)
-                         + (covered == 0).astype(np.int64))
-    return int(total.min())
-
-
 @lru_cache(maxsize=None)
 def _red_graph_classes(n: int):
     """All graphs on n labelled points up to isomorphism, as canonical forms,
@@ -309,48 +302,39 @@ def _red_graph_classes(n: int):
     return list(seen.values())
 
 
-def _ramsey_classes(h: Graph, n: int) -> int:
-    """Minimum over red graphs up to isomorphism; reaches n = 7, 8."""
-    maps = np.array(list(itertools.permutations(range(n), h.n)), dtype=np.intp)
-    if maps.ndim == 1:  # h.n == 0 gives a single empty map
-        maps = maps.reshape(-1, max(h.n, 1))
-    edges = h.sorted_edges()
-    best = None
-    for g in _red_graph_classes(n):
-        A = np.zeros((n, n), dtype=bool)
-        for u, v in g.edges:
-            A[u, v] = A[v, u] = True
-        red = np.ones(len(maps), dtype=bool)
-        blue = np.ones(len(maps), dtype=bool)
-        for u, v in edges:
-            a = A[maps[:, u], maps[:, v]]
-            red &= a
-            blue &= ~a
-        cnt = int(red.sum()) + int(blue.sum())
-        if best is None or cnt < best:
-            best = cnt
-    return best
+def _colourings(n: int) -> np.ndarray:
+    """Red-pair bitmasks over _pair_bits(n) that meet every relabelling
+    class of 2-colourings of n points: each class on the first n - 1 points,
+    joined with each neighbourhood of point n - 1."""
+    bits = _pair_bits(n)
+    classes = np.array([sum(1 << bits[e] for e in g.sorted_edges())
+                        for g in _red_graph_classes(n - 1)], dtype=np.uint32)
+    last = [1 << bits[(i, n - 1)] for i in range(n - 1)]
+    neighbourhoods = np.array([sum(b for i, b in enumerate(last) if s >> i & 1)
+                               for s in range(1 << (n - 1))], dtype=np.uint32)
+    return (classes[:, None] | neighbourhoods[None, :]).ravel()
 
 
-def exact_ramsey_multiplicity(h: Graph, n: int, method: str = "auto") -> int:
+def exact_ramsey_multiplicity(h: Graph, n: int) -> int:
     """Minimum number of monochromatic labelled copies of h over all
     2-colourings of the pairs on n points.
 
     Copies are injective vertex maps, so an edgeless h is counted once per
-    colour (mirroring m = t + t-complement).  Two routes: "brute" walks every
-    colouring, "classes" walks red graphs up to isomorphism; they agree.
+    colour (mirroring m = t + t-complement).  The first n - 1 points of any
+    colouring relabel onto a class representative, and relabelling keeps the
+    count, so the minimum over _colourings(n) is the minimum over all.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"n={n} out of range; colouring enumeration stops at n=8")
     if h.n > n:
         return 0
-    if method == "auto":
-        method = "brute" if n <= 6 else "classes"
-    if method == "brute":
-        return _ramsey_brute(h, n)
-    if method == "classes":
-        return _ramsey_classes(h, n)
-    raise ValueError(f"unknown method {method!r}")
+    colour = _colourings(n)
+    total = np.zeros(len(colour), dtype=np.int64)
+    for mask, mult in _copy_masks(h, n).items():
+        covered = colour & np.uint32(mask)
+        total += mult * (covered == mask)
+        total += mult * (covered == 0)
+    return int(total.min())
 
 
 def estimate_ramsey_constant(h: Graph, n: int) -> Fraction:

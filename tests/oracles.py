@@ -1,8 +1,11 @@
 """Reference oracles that enumerate every assignment of parts to sample
-points directly.  They share no code with the package's multiset and
-elimination routes, and are meant for small part counts."""
+points, or every colouring of a complete graph, directly.  They share no
+code with the package's multiset, elimination and colouring-class routes,
+and are meant for small part and point counts."""
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from commonality.density import PAIRS5
 from commonality.graphs import Graph
@@ -43,3 +46,23 @@ def induced_pattern_vector_exact(w: StepGraphon):
         for mask in range(1024):
             out[mask] += weight * vals[mask]
     return out
+
+
+def ramsey_brute(h: Graph, n: int) -> int:
+    """Minimum number of monochromatic injective maps of h over all
+    2-colourings of the pairs on n points, taken one colouring at a time.
+    Pair (a, b) with a < b is bit b(b-1)/2 + a of a colouring."""
+    masks = []
+    for mp in itertools.permutations(range(n), h.n):
+        mask = 0
+        for u, v in h.edges:
+            a, b = sorted((mp[u], mp[v]))
+            mask |= 1 << (b * (b - 1) // 2 + a)
+        masks.append(mask)
+    masks = np.array(masks, dtype=np.int64)
+    best = None
+    for colour in range(1 << (n * (n - 1) // 2)):
+        red = masks & colour
+        count = int(np.count_nonzero(red == masks) + np.count_nonzero(red == 0))
+        best = count if best is None else min(best, count)
+    return best

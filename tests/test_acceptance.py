@@ -217,6 +217,6 @@ def test_criterion_09_optimizer_and_witness_search():
 def test_criterion_10_finite_ramsey_counts():
     t0 = monotonic()
     k3 = catalog("k3")
-    assert exact_ramsey_multiplicity(k3, 5, method="brute") == 0
-    assert exact_ramsey_multiplicity(k3, 6, method="brute") == 12
+    assert exact_ramsey_multiplicity(k3, 5) == 0
+    assert exact_ramsey_multiplicity(k3, 6) == 12
     assert monotonic() - t0 < 10

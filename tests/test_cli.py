@@ -112,9 +112,11 @@ def test_ramsey_output(capsys):
 
 
 def test_ramsey_exact_ratio(capsys):
-    code, out, _ = run(capsys, "ramsey", "k3", "7", "--exact")
-    assert code == 0
-    assert "normalized\t4/35" in out
+    for n, copies, ratio in (("7", "24", "4/35"), ("8", "48", "1/7")):
+        code, out, _ = run(capsys, "ramsey", "k3", n, "--exact")
+        assert code == 0
+        assert "copies\t%s" % copies in out
+        assert "normalized\t%s" % ratio in out
 
 
 def test_catalog_lists_names(capsys):

@@ -1,11 +1,13 @@
 """Optimizer and finite-multiplicity tests.
 
-Frozen constants: the two-part grid floor for the tailed triangle and the
-small Ramsey multiplicities were computed by the brute routes in this module
-(full colouring enumeration, full grid scan) and cross-checked against the
-classical values (0, 12, 24 labelled mono triangles at n = 5, 6, 7).
+Frozen constants: the two-part grid floor for the tailed triangle comes from
+the full grid scan; the Ramsey multiplicities at n = 8 were computed by a
+route that grew every red graph class on 8 points edge by edge.  Triangle
+counts are checked against Goodman's closed form and the rest at n <= 6
+against full colouring enumeration (tests/oracles.py).
 """
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from commonality.search import (
     grid_minimum_two_parts,
     minimize_m,
 )
+from oracles import ramsey_brute
 
 # grid_minimum_two_parts(k3plus, resolution=32), frozen 2026-08
 GRID32_K3PLUS = 0.12149429321289062
@@ -70,11 +73,11 @@ def test_gradient_is_symmetric():
 # minimizer
 
 def test_config_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MinimizeConfig(parts=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MinimizeConfig(restarts=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MinimizeConfig(box=(0.5, 0.2))
 
 
@@ -151,10 +154,17 @@ def test_minimize_result_tsv_shape():
 # finite Ramsey multiplicity
 
 def test_triangle_multiplicities():
+    # Goodman: the fewest monochromatic triangles in a 2-colouring of K_n is
+    # C(n,3) - floor((n/2) * floor(((n-1)/2)^2)); each is 6 labelled copies
     k3 = catalog("k3")
-    assert exact_ramsey_multiplicity(k3, 5) == 0
-    assert exact_ramsey_multiplicity(k3, 6) == 12
-    assert exact_ramsey_multiplicity(k3, 7) == 24
+    for n in range(3, 9):
+        goodman = math.comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
+        assert exact_ramsey_multiplicity(k3, n) == 6 * goodman, n
+
+
+def test_eight_point_multiplicities():
+    for name, count in (("c4", 80), ("k4", 0), ("k3plus", 48), ("c5", 0)):
+        assert exact_ramsey_multiplicity(catalog(name), 8) == count, name
 
 
 def test_edge_multiplicity_is_twice_the_pairs():
@@ -163,12 +173,11 @@ def test_edge_multiplicity_is_twice_the_pairs():
         assert exact_ramsey_multiplicity(k2, n) == n * (n - 1)
 
 
-def test_brute_and_class_routes_agree():
-    for name in ("k3", "p3", "c4"):
+def test_multiplicities_match_full_colouring_enumeration():
+    for name in ("k2", "k3", "p3", "c4", "k3plus", "k4", "bull"):
         h = catalog(name)
-        for n in (4, 5, 6):
-            assert (exact_ramsey_multiplicity(h, n, method="brute")
-                    == exact_ramsey_multiplicity(h, n, method="classes")), (name, n)
+        for n in range(h.n, 7):
+            assert exact_ramsey_multiplicity(h, n) == ramsey_brute(h, n), (name, n)
 
 
 def test_multiplicity_edge_cases():
