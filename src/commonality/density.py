@@ -10,12 +10,15 @@ signed kernel 2w - 1 on those arrays, without building kernel objects.
 Exact (Fraction) kernels run through the same elimination as a batch
 of one in object arrays, so an exact density costs k^(width+1) Fraction
 operations per eliminated vertex rather than one term per assignment.
+The plan also runs backwards on float batches: each step's vector-Jacobian
+product gives the gradients of its inputs and of the part weights, so the
+minimizer's partials need no enumeration of assignments either.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -100,6 +103,43 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
         else:
             slots.append(joint)
     return acc
+
+
+def _t_batch_grad(g: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
+    """_t_batch on float kernels, then the same plan run backwards.
+    Returns (value (B,), dV (B, k, k), dmu (B, k)).  dV treats every matrix
+    entry as its own variable; dmu stays zero unless with_weights, and
+    leaves out isolated vertices, which are not in the plan."""
+    B, k = mu.shape
+    dmu = np.zeros((B, k))
+    if not g.edges:
+        return np.ones(B), np.zeros((B, k, k)), dmu
+    steps, _ = _plan(g, k)
+    slots = [V] * g.e
+    tape, scalars = [], []
+    for inputs, weight_shape, axis, scalar in steps:
+        xs = [slots[i].reshape(shape) for i, shape in inputs]
+        joint = reduce(np.multiply, xs)
+        weight = mu.reshape(weight_shape)
+        tape.append((xs, joint, weight, len(scalars) if scalar else len(slots)))
+        (scalars if scalar else slots).append((joint * weight).sum(axis=axis))
+    # each slot feeds exactly one step, so backwards every slot's gradient
+    # is complete before the step that produced it is reached
+    grads = [None] * len(slots)
+    for (inputs, _, axis, scalar), (xs, joint, weight, out) in zip(steps[::-1], tape[::-1]):
+        if scalar:
+            up = reduce(np.multiply, scalars[:out] + scalars[out + 1:], np.ones(B))
+        else:
+            up = grads[out]
+        up = np.expand_dims(up, axis)
+        if with_weights:
+            dw = up * joint
+            dmu += dw.sum(axis=tuple(a for a in range(1, dw.ndim) if a != axis))
+        for j, (i, shape) in enumerate(inputs):
+            d = reduce(np.multiply, xs[:j] + xs[j + 1:], up * weight)
+            reduced = tuple(a for a in range(1, d.ndim) if shape[a] == 1)
+            grads[i] = d.sum(axis=reduced, keepdims=True).reshape(slots[i].shape)
+    return reduce(np.multiply, scalars, np.ones(B)), sum(grads[:g.e]), dmu
 
 
 def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -31,12 +31,15 @@ class StepGraphon:
     def __init__(self, values, weights=None):
         rows = [list(r) for r in values]
         k = len(rows)
-        assert k >= 1, "need at least one part"
-        assert all(len(r) == k for r in rows), "value matrix must be square"
+        if k < 1:
+            raise ValueError("need at least one part")
+        if any(len(r) != k for r in rows):
+            raise ValueError("value matrix must be square")
         if weights is None:
             weights = [Fraction(1, k)] * k
         weights = list(weights)
-        assert len(weights) == k, "one weight per part"
+        if len(weights) != k:
+            raise ValueError("one weight per part")
 
         exact = all(_exact_num(x) for r in rows for x in r) and all(
             _exact_num(x) for x in weights
@@ -44,20 +47,24 @@ class StepGraphon:
         if exact:
             rows = [[Fraction(x) for x in r] for r in rows]
             weights = [Fraction(x) for x in weights]
-            assert sum(weights) == 1, "part weights must sum to 1"
+            if sum(weights) != 1:
+                raise ValueError("part weights must sum to 1")
         else:
             rows = [[float(x) for x in r] for r in rows]
             weights = [float(x) for x in weights]
-            assert abs(sum(weights) - 1) <= WEIGHT_SUM_TOL, "part weights must sum to 1"
+            if not abs(sum(weights) - 1) <= WEIGHT_SUM_TOL:
+                raise ValueError("part weights must sum to 1")
         for i in range(k):
-            assert rows[i][i] == rows[i][i], "nan value"
+            if rows[i][i] != rows[i][i]:
+                raise ValueError("nan value")
             for j in range(k):
-                assert rows[i][j] == rows[j][i], "value matrix must be symmetric"
-                assert self.lo <= rows[i][j] <= self.hi, (
-                    f"value {rows[i][j]} outside [{self.lo}, {self.hi}]"
-                )
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError("value matrix must be symmetric")
+                if not self.lo <= rows[i][j] <= self.hi:
+                    raise ValueError(f"value {rows[i][j]} outside [{self.lo}, {self.hi}]")
         for x in weights:
-            assert x >= 0, "negative part weight"
+            if not x >= 0:
+                raise ValueError("negative part weight")
 
         self.k = k
         self.values = tuple(tuple(r) for r in rows)
@@ -115,7 +122,8 @@ def half() -> StepGraphon:
 
 def block_graphon(g: Graph) -> StepGraphon:
     """0/1 kernel of a graph: k = n parts of weight 1/n, value = adjacency."""
-    assert g.n >= 1, "need at least one vertex"
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
     vals = [[Fraction(1) if g.has_edge(i, j) else Fraction(0) for j in range(g.n)]
             for i in range(g.n)]
     return StepGraphon(vals)
@@ -157,7 +165,7 @@ def parse_graphon(text: str, signed: bool = False) -> StepGraphon:
     cls = SignedStepGraphon if signed else StepGraphon
     try:
         return cls(rows, weights)
-    except AssertionError as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid kernel: {exc}") from None
 
 

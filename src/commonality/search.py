@@ -1,9 +1,10 @@
 """Witness search: numeric minimization of the monochromatic density over
 step kernels, plus exact Ramsey multiplicities on very few points.
 
-The optimizer is projected gradient descent with backtracking, restarted
-from several deterministic starts; it can only certify upper bounds on the
-minimum, never the minimum itself.  A brute grid scan over two-part kernels
+The optimizer is projected gradient descent with backtracking from several
+deterministic starts, all descending side by side as one batch; values and
+partials come from the density plan run in reverse mode.  It can only
+certify upper bounds on the minimum, never the minimum itself.  A brute grid scan over two-part kernels
 is kept alongside as an optimizer-free cross-check.  Finite multiplicities
 count monochromatic labelled copies (injective vertex maps) over all
 2-colourings of the complete graph, exactly, walking every red graph class
@@ -18,81 +19,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import _m_batch
+from .density import _m_batch, _t_batch_grad
 from .graphs import Graph, canonical_form
 from .graphons import StepGraphon
 
 # |value - 2^(1-e)| below this counts as sitting on the commonality target
 VERDICT_BAND = 1e-5
 
-_GRAD_ASSIGNMENT_CAP = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # analytic gradient
 
-def _t_value_gradient(h: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
-    """t_h and its partials for one float kernel, by brute enumeration.
+def _m_value_gradient(h: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
+    """m_h and its partials for a batch of float kernels, V (B, k, k) and
+    mu (B, k), by reverse mode through the compiled density plan.
 
     Off-diagonal entries (p,q) and (q,p) are one variable; the returned
-    matrix carries that single partial in both positions.  The weight
-    gradient ignores isolated vertices (their uniform contribution projects
-    out on the simplex anyway).
+    (B, k, k) gradient carries that single partial in both positions.  The
+    (B, k) weight gradient ignores isolated vertices (their uniform
+    contribution projects out on the simplex anyway).
     """
-    k = len(mu)
-    active = [v for v in range(h.n) if h.adj[v]]
-    if not active:
-        return 1.0, np.zeros((k, k)), np.zeros(k)
-    if k ** len(active) > _GRAD_ASSIGNMENT_CAP:
-        raise ValueError("gradient enumeration too large: %d parts on %d vertices"
-                         % (k, len(active)))
-    pos = {v: i for i, v in enumerate(active)}
-    edges = [(pos[u], pos[v]) for u, v in h.sorted_edges()]
-    e = len(edges)
-    idx = np.indices((k,) * len(active)).reshape(len(active), -1)
-    n_assign = idx.shape[1]
-    weight = mu[idx].prod(axis=0)
-
-    F = np.empty((e, n_assign))
-    for i, (a, b) in enumerate(edges):
-        F[i] = V[idx[a], idx[b]]
-    # prefix/suffix products give every leave-one-out product in O(e)
-    pre = np.ones((e + 1, n_assign))
-    for i in range(e):
-        pre[i + 1] = pre[i] * F[i]
-    suf = np.ones((e + 1, n_assign))
-    for i in range(e - 1, -1, -1):
-        suf[i] = suf[i + 1] * F[i]
-    full = pre[e]
-    value = float((weight * full).sum())
-
-    G = np.zeros((k, k))
-    for i, (a, b) in enumerate(edges):
-        contrib = weight * (pre[i] * suf[i + 1])
-        p = np.minimum(idx[a], idx[b])
-        q = np.maximum(idx[a], idx[b])
-        np.add.at(G, (p, q), contrib)
-    G = G + np.triu(G, 1).T
-
-    gmu = np.zeros(k)
-    if with_weights:
-        v_act = len(active)
-        M = mu[idx]
-        wpre = np.ones((v_act + 1, n_assign))
-        for s in range(v_act):
-            wpre[s + 1] = wpre[s] * M[s]
-        wsuf = np.ones((v_act + 1, n_assign))
-        for s in range(v_act - 1, -1, -1):
-            wsuf[s] = wsuf[s + 1] * M[s]
-        for s in range(v_act):
-            np.add.at(gmu, idx[s], full * (wpre[s] * wsuf[s + 1]))
-    return value, G, gmu
-
-
-def _m_value_gradient(h: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
-    t1, g1, w1 = _t_value_gradient(h, V, mu, with_weights)
-    t2, g2, w2 = _t_value_gradient(h, 1.0 - V, mu, with_weights)
-    return t1 + t2, g1 - g2, w1 + w2
+    t1, g1, w1 = _t_batch_grad(h, V, mu, with_weights)
+    t2, g2, w2 = _t_batch_grad(h, 1.0 - V, mu, with_weights)
+    g = g1 - g2
+    return t1 + t2, g + g.transpose(0, 2, 1) - g * np.eye(V.shape[1]), w1 + w2
 
 
 def gradient_m(h: Graph, w: StepGraphon) -> np.ndarray:
@@ -103,8 +53,8 @@ def gradient_m(h: Graph, w: StepGraphon) -> np.ndarray:
     the two positions together to match.
     """
     V, mu = w.as_arrays()
-    _, grad, _ = _m_value_gradient(h, V, mu, False)
-    return grad
+    _, grad, _ = _m_value_gradient(h, V[None], mu[None], False)
+    return grad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +107,14 @@ class MinimizeResult:
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(y) + 1) > css)[0][-1]
-    return np.maximum(y - css[rho] / (rho + 1), 0.0)
+    """Euclidean projection of each row of y onto the probability simplex."""
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    n = y.shape[-1]
+    hit = u * np.arange(1, n + 1) > css
+    rho = n - 1 - np.argmax(hit[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1)
+    return np.maximum(y - theta, 0.0)
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
@@ -184,43 +138,51 @@ def _start_matrix(k: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _descend(h: Graph, V: np.ndarray, mu: np.ndarray, cfg: MinimizeConfig):
+    """Projected descent with backtracking from a batch of starts, V (R, k, k)
+    and mu (R, k), run side by side.  Each restart keeps its own step size,
+    trace and evaluation count, and freezes once its evaluations reach
+    max_iter or its step falls below min_step; each gradient call covers
+    only the live restarts.  Returns the winner, the lowest value and then
+    the lowest index, as (value, V, mu, trace, restart)."""
     lo, hi = cfg.box
+    V, mu = np.array(V, dtype=np.float64), np.array(mu, dtype=np.float64)
     val, grad, gmu = _m_value_gradient(h, V, mu, cfg.optimize_weights)
-    step = cfg.step0
-    trace = 1
-    evals = 1
-    while evals < cfg.max_iter and step >= cfg.min_step:
-        cand_v = np.clip(V - step * grad, lo, hi)
-        cand_mu = _project_simplex(mu - step * gmu) if cfg.optimize_weights else mu
+    step = np.full(len(V), cfg.step0)
+    trace, evals = np.ones((2, len(V)), dtype=np.int64)
+    while True:
+        live = np.flatnonzero((evals < cfg.max_iter) & (step >= cfg.min_step))
+        if not len(live):
+            break
+        s = step[live]
+        cand_v = np.clip(V[live] - s[:, None, None] * grad[live], lo, hi)
+        cand_mu = (_project_simplex(mu[live] - s[:, None] * gmu[live])
+                   if cfg.optimize_weights else mu[live])
         cval, cgrad, cgmu = _m_value_gradient(h, cand_v, cand_mu, cfg.optimize_weights)
-        evals += 1
-        if cval < val - 1e-15:
-            V, mu, val, grad, gmu = cand_v, cand_mu, cval, cgrad, cgmu
-            step = min(step * cfg.step_grow, 1.0)
-            trace += 1
-        else:
-            step *= cfg.step_shrink
-    return val, V, mu, trace
+        evals[live] += 1
+        ok = cval < val[live] - 1e-15
+        won = live[ok]
+        V[won], mu[won], val[won] = cand_v[ok], cand_mu[ok], cval[ok]
+        grad[won], gmu[won] = cgrad[ok], cgmu[ok]
+        trace[won] += 1
+        step[live] = np.where(ok, np.minimum(s * cfg.step_grow, 1.0), s * cfg.step_shrink)
+    r = int(np.argmin(val))
+    return float(val[r]), V[r], mu[r], int(trace[r]), r
 
 
 def minimize_m(h: Graph, cfg: MinimizeConfig | None = None) -> MinimizeResult:
     """Multistart projected gradient descent on m_h over step kernels.
 
-    Deterministic given the config: each restart carries its own generator
-    keyed by (seed, restart).  The reported value can only overestimate the
-    true minimum, and never exceeds m at the half kernel.
+    Deterministic given the config: each restart's start comes from its own
+    generator keyed by (seed, restart), and all restarts descend together as
+    one batch.  The reported value can only overestimate the true minimum,
+    and never exceeds m at the half kernel.
     """
     cfg = cfg or MinimizeConfig()
     target = Fraction(2) ** (1 - h.e)
-    mu0 = np.full(cfg.parts, 1.0 / cfg.parts)
-
-    def run(r):
-        rng = np.random.default_rng((cfg.seed, r))
-        val, V, mu, trace = _descend(h, _start_matrix(cfg.parts, r, rng), mu0.copy(), cfg)
-        return val, r, V, mu, trace
-
-    val, r, V, mu, trace = min((run(r) for r in range(cfg.restarts)),
-                               key=lambda t: (t[0], t[1]))
+    starts = np.stack([_start_matrix(cfg.parts, r, np.random.default_rng((cfg.seed, r)))
+                       for r in range(cfg.restarts)])
+    mu0 = np.full((cfg.restarts, cfg.parts), 1.0 / cfg.parts)
+    val, V, mu, trace, r = _descend(h, starts, mu0, cfg)
 
     tf = float(target)
     if val < tf - VERDICT_BAND:

@@ -66,3 +66,56 @@ def ramsey_brute(h: Graph, n: int) -> int:
         count = int(np.count_nonzero(red == masks) + np.count_nonzero(red == 0))
         best = count if best is None else min(best, count)
     return best
+
+
+def t_value_gradient_brute(h: Graph, V: np.ndarray, mu: np.ndarray):
+    """t_h, its partials in the kernel entries and its partials in the part
+    weights for one float kernel, summed over all k^v assignments.
+
+    Off-diagonal entries (p,q) and (q,p) are one variable; the returned
+    matrix carries that single partial in both positions.  The weight
+    gradient ignores isolated vertices."""
+    k = len(mu)
+    active = [v for v in range(h.n) if h.adj[v]]
+    if not active:
+        return 1.0, np.zeros((k, k)), np.zeros(k)
+    pos = {v: i for i, v in enumerate(active)}
+    edges = [(pos[u], pos[v]) for u, v in h.sorted_edges()]
+    e = len(edges)
+    idx = np.indices((k,) * len(active)).reshape(len(active), -1)
+    n_assign = idx.shape[1]
+    weight = mu[idx].prod(axis=0)
+
+    F = np.empty((e, n_assign))
+    for i, (a, b) in enumerate(edges):
+        F[i] = V[idx[a], idx[b]]
+    # prefix/suffix products give every leave-one-out product in O(e)
+    pre = np.ones((e + 1, n_assign))
+    for i in range(e):
+        pre[i + 1] = pre[i] * F[i]
+    suf = np.ones((e + 1, n_assign))
+    for i in range(e - 1, -1, -1):
+        suf[i] = suf[i + 1] * F[i]
+    full = pre[e]
+    value = float((weight * full).sum())
+
+    G = np.zeros((k, k))
+    for i, (a, b) in enumerate(edges):
+        contrib = weight * (pre[i] * suf[i + 1])
+        p = np.minimum(idx[a], idx[b])
+        q = np.maximum(idx[a], idx[b])
+        np.add.at(G, (p, q), contrib)
+    G = G + np.triu(G, 1).T
+
+    v_act = len(active)
+    M = mu[idx]
+    wpre = np.ones((v_act + 1, n_assign))
+    for s in range(v_act):
+        wpre[s + 1] = wpre[s] * M[s]
+    wsuf = np.ones((v_act + 1, n_assign))
+    for s in range(v_act - 1, -1, -1):
+        wsuf[s] = wsuf[s + 1] * M[s]
+    gmu = np.zeros(k)
+    for s in range(v_act):
+        np.add.at(gmu, idx[s], full * (wpre[s] * wsuf[s + 1]))
+    return value, G, gmu

@@ -1,8 +1,12 @@
 """End-to-end runs of the command line front door, in process."""
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import commonality
 from commonality.certificate import data_path
 from commonality.cli import main
 
@@ -102,6 +106,15 @@ def test_minimize_prints_result_and_kernel(capsys):
     assert len(tail) == 4
 
 
+def test_minimize_six_parts_on_eight_vertices(capsys):
+    # 6^8 assignments: the gradient must come from the elimination plan
+    code, out, _ = run(capsys, "minimize", "beachball:3", "--parts", "6",
+                       "--restarts", "2", "--max-iter", "10")
+    assert code == 0
+    rows = dict(ln.split("\t") for ln in out.strip().splitlines() if "\t" in ln)
+    assert "verdict" in rows
+
+
 def test_ramsey_output(capsys):
     code, out, _ = run(capsys, "ramsey", "k3", "6")
     assert code == 0
@@ -153,6 +166,22 @@ def test_parse_errors_exit_two(capsys):
     assert run(capsys, "density", "k3", "--graphon", "random:2:5", "--exact")[0] == 2
     assert run(capsys, "ramsey", "k3", "9")[0] == 2
     assert run(capsys, "nosuchverb")[0] == 2
+
+
+def test_bad_kernels_exit_two_under_optimize(tmp_path):
+    # kernel validation must survive python -O, which strips assert statements
+    (tmp_path / "range.txt").write_text("1\n1\n2\n")
+    (tmp_path / "asym.txt").write_text("2\n1/2 1/2\n0.2 0.3\n0.4 0.2\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for name in ("range.txt", "asym.txt"):
+        proc = subprocess.run([sys.executable, "-O", "-m", "commonality.cli", "m", "k3",
+                               "--graphon", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
+        assert "invalid kernel" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_help_exits_zero(capsys):

@@ -17,16 +17,16 @@ from commonality.graphons import (
 
 
 def test_constructor_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StepGraphon([[0.2, 0.3], [0.4, 0.2]])  # not symmetric
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StepGraphon([[1.5]])  # out of range
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StepGraphon([[0.5]], weights=[0.9])  # weights do not sum to 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StepGraphon([[0.2, 0.3]])  # not square
     SignedStepGraphon([[-1, Fraction(1, 3)], [Fraction(1, 3), 1]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SignedStepGraphon([[-2]])
 
 

@@ -13,18 +13,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import commonality.search as search
 from commonality.density import m
 from commonality.graphs import Graph, catalog
 from commonality.graphons import StepGraphon, block_graphon, constant_graphon, half, random_graphon
 from commonality.search import (
     MinimizeConfig,
+    _descend,
+    _m_value_gradient,
+    _start_matrix,
     exact_ramsey_multiplicity,
     estimate_ramsey_constant,
     gradient_m,
     grid_minimum_two_parts,
     minimize_m,
 )
-from oracles import ramsey_brute
+from oracles import ramsey_brute, t_value_gradient_brute
 
 # grid_minimum_two_parts(k3plus, resolution=32), frozen 2026-08
 GRID32_K3PLUS = 0.12149429321289062
@@ -67,6 +71,52 @@ def test_gradient_is_symmetric():
     rng = np.random.default_rng(5)
     g = gradient_m(catalog("bull"), random_graphon(3, rng))
     assert np.array_equal(g, g.T)
+
+
+def test_reverse_mode_matches_assignment_enumeration():
+    # m = t(V) + t(1 - V), so the brute partials combine as value sum,
+    # kernel gradient difference and weight gradient sum
+    rng = np.random.default_rng(29)
+    graphs = [catalog(name) for name in ("k3plus", "diamond", "jst", "bull", "c5", "k4",
+                                         "beachball:2")]
+    graphs += [Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)]), Graph(3)]
+    worst = np.zeros(3)
+    for h in graphs:
+        for k in range(1, 5):
+            raw = rng.random((5, k, k))
+            V = (raw + raw.transpose(0, 2, 1)) / 2
+            mu = rng.random((5, k)) + 0.1
+            mu /= mu.sum(axis=1, keepdims=True)
+            val, grad, gmu = _m_value_gradient(h, V, mu, True)
+            for b in range(5):
+                t1, g1, w1 = t_value_gradient_brute(h, V[b], mu[b])
+                t2, g2, w2 = t_value_gradient_brute(h, 1.0 - V[b], mu[b])
+                gap = (w1 + w2) - gmu[b]
+                worst = np.maximum(worst, [abs(t1 + t2 - val[b]),
+                                           np.abs(g1 - g2 - grad[b]).max(),
+                                           np.abs(gap - gap.mean()).max()])
+    assert worst.max() <= 1e-12, worst
+
+
+def test_gradient_six_parts_on_eight_vertices():
+    # beachball:3 at 6 parts is 6^8 assignments; the plan never enumerates them
+    h = catalog("beachball:3")
+    rng = np.random.default_rng(17)
+    raw = random_graphon(6, rng)
+    V = 0.05 + 0.9 * np.array(raw.values)
+    V = (V + V.T) / 2
+    weights = list(raw.weights)
+    grad = gradient_m(h, StepGraphon(V.tolist(), weights))
+    assert np.abs(grad).max() > 0
+    d = 1e-5
+    for p in range(6):
+        for q in range(p, 6):
+            vp, vm = V.copy(), V.copy()
+            vp[p, q] = vp[q, p] = vp[p, q] + d
+            vm[p, q] = vm[q, p] = vm[p, q] - d
+            fd = (m(h, StepGraphon(vp.tolist(), weights))
+                  - m(h, StepGraphon(vm.tolist(), weights))) / (2 * d)
+            assert abs(fd - grad[p, q]) <= 1e-6, (p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +190,40 @@ def test_minimize_weight_optimization_helps_two_parts():
     tuned = minimize_m(catalog("k3plus"), MinimizeConfig(parts=2, restarts=16, optimize_weights=True))
     assert tuned.value <= plain.value + 1e-9
     assert abs(sum(tuned.graphon.weights) - 1) <= 1e-9
+
+
+def test_batched_descent_picks_the_single_start_winner():
+    # all starts descending as one batch must end where each start run alone
+    # ends, and pick the lowest (value, index) among those runs
+    for name, parts, weights in (("k3plus", 2, False), ("k3plus", 2, True),
+                                 ("diamond", 3, False), ("bull", 5, False)):
+        h = catalog(name)
+        cfg = MinimizeConfig(parts=parts, restarts=8, max_iter=120, optimize_weights=weights)
+        starts = np.stack([_start_matrix(parts, r, np.random.default_rng((cfg.seed, r)))
+                           for r in range(cfg.restarts)])
+        mu0 = np.full((cfg.restarts, parts), 1.0 / parts)
+        val, V, mu, trace, r = _descend(h, starts, mu0, cfg)
+        alone = [_descend(h, starts[i:i + 1], mu0[i:i + 1], cfg) for i in range(cfg.restarts)]
+        best = min(range(cfg.restarts), key=lambda i: (alone[i][0], i))
+        bval, bV, bmu, btrace, _ = alone[best]
+        assert (val, trace, r) == (bval, btrace, best), name
+        assert np.array_equal(V, bV) and np.array_equal(mu, bmu), name
+        assert type(trace) is int and type(r) is int
+
+
+def test_every_restart_is_evaluated_max_iter_times(monkeypatch):
+    # no step can shrink below min_step within 7 evaluations, so each call
+    # covers all 4 restarts and the 7th is the last
+    rows = []
+    real = search._m_value_gradient
+
+    def counted(h, V, mu, with_weights):
+        rows.append(len(V))
+        return real(h, V, mu, with_weights)
+
+    monkeypatch.setattr(search, "_m_value_gradient", counted)
+    minimize_m(catalog("k3plus"), MinimizeConfig(parts=2, restarts=4, max_iter=7))
+    assert rows == [4] * 7
 
 
 def test_minimize_result_tsv_shape():

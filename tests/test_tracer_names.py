@@ -30,6 +30,9 @@ def test_tracer_metrics_are_never_null():
         # the result it reads is recorded as missing too
         m_many(catalog("k3"), [half()])
         minimize_m(catalog("k3"), MinimizeConfig(parts=2, restarts=1, max_iter=3))
+        # the batched path, with weight gradients, under the same wrappers
+        minimize_m(catalog("k3plus"), MinimizeConfig(parts=2, restarts=3, max_iter=20,
+                                                     optimize_weights=True))
     finally:
         t.uninstall()
     phase = {"ops": 0, "spans": 0, "untraced_s": 0.0, "traced_s": 0.0}
