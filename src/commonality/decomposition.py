@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_form, catalog, induced_subgraph, is_connected, is_tree, pendant_map
+from .graphs import (Graph, canonical_form, catalog, induced_subgraph, is_connected, is_tree,
+                     parse_prelude, pendant_map)
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,7 @@ class TreeDecomposition:
 def parse_decomposition(text: str) -> TreeDecomposition:
     """Line 1: bag count.  Next: one bag per line (vertex lists).  Remaining
     lines: tree edges as bag index pairs."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty decomposition description")
-    try:
-        count = int(lines[0])
-    except ValueError:
-        raise ValueError(f"bad bag count line: {lines[0]!r}") from None
+    count, lines = parse_prelude(text, "decomposition", "bag count")
     if count < 1 or len(lines) < 1 + count:
         raise ValueError("bag count does not match the listed bags")
     bags = []

@@ -7,9 +7,13 @@ count.  Each (graph, part count) is compiled once into a cached plan of
 elimination steps.  The batched functions pack each part-count group of
 their input once into float arrays and take the complement 1 - w and the
 signed kernel 2w - 1 on those arrays, without building kernel objects.
-Exact (Fraction) kernels run through the same elimination as a batch
-of one in object arrays, so an exact density costs k^(width+1) Fraction
+A single kernel (t_hom, t_signed and so m) is a batch of one through the
+same elimination: in float64 for float kernels and in object arrays of
+Fractions for exact ones, where a density costs k^(width+1) Fraction
 operations per eliminated vertex rather than one term per assignment.
+Those single-kernel densities are cached on (graph, values, weights,
+exactness), so a battery that asks for the same density of one kernel many
+times contracts it once.
 The plan also runs backwards on float batches: each step's vector-Jacobian
 product gives the gradients of its inputs and of the part weights, so the
 minimizer's partials need no enumeration of assignments either.
@@ -161,32 +165,32 @@ def _packed(kernels):
         yield idxs, V.reshape(-1, k, k), mu.reshape(-1, k)
 
 
-def _t_exact(g: Graph, values, weights, k: int) -> Fraction:
-    if not g.edges:
-        return Fraction(1)
-    _, width = _plan(g, k)
-    if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
-        raise ValueError("exact evaluation too large: %d parts at elimination width %d"
-                         % (k, width))
-    V = np.array([values], dtype=object)
-    mu = np.array([weights], dtype=object)
-    return Fraction(_t_batch(g, V, mu)[0])
+@lru_cache(maxsize=256)
+def _t_one(g: Graph, values, weights, exact: bool):
+    """Density of g in one kernel given by its value and weight tuples: a
+    batch of one through _t_batch, in Fraction object arrays when exact and
+    float64 otherwise.  exact is part of the key because Fraction(1, 2) and
+    0.5 compare and hash equal.  256 entries hold the at most 63 distinct
+    densities the inequality battery asks of one kernel four times over."""
+    if exact:
+        k = len(weights)
+        width = _plan(g, k)[1]
+        if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
+            raise ValueError("exact evaluation too large: %d parts at elimination width %d"
+                             % (k, width))
+    dtype = object if exact else np.float64
+    t = _t_batch(g, np.array([values], dtype=dtype), np.array([weights], dtype=dtype))[0]
+    return Fraction(t) if exact else float(t)
 
 
 def t_hom(g: Graph, w: StepGraphon):
     """Homomorphism density t_g(w).  Exact kernels give Fraction results."""
-    if w.exact:
-        return _t_exact(g, w.values, w.weights, w.k)
-    V, mu = w.as_arrays()
-    return float(_t_batch(g, V[None], mu[None])[0])
+    return _t_one(g, w.values, w.weights, w.exact)
 
 
 def t_signed(g: Graph, u: SignedStepGraphon):
     """Same contraction against a [-1,1]-valued kernel; empty graph gives 1."""
-    if u.exact:
-        return _t_exact(g, u.values, u.weights, u.k)
-    V, mu = u.as_arrays()
-    return float(_t_batch(g, V[None], mu[None])[0])
+    return _t_one(g, u.values, u.weights, u.exact)
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
@@ -216,17 +220,8 @@ def expansion_value(g: Graph, w: StepGraphon):
     """m(g, w) recomputed through the even-subset expansion of g against the
     signed kernel 2w - 1.  Equals m(g, w) exactly for exact kernels."""
     u = w.signed()
-    ex = even_expansion(g)
     scale = Fraction(2) ** (1 - g.e)
-    if w.exact:
-        total = Fraction(0)
-        for f, c in ex.items():
-            total += c * t_signed(f, u)
-        return scale * total
-    total = 0.0
-    for f, c in ex.items():
-        total += float(c) * t_signed(f, u)
-    return float(scale) * total
+    return scale * sum(c * t_signed(f, u) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, parse_prelude
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -78,15 +78,10 @@ class StepGraphon:
         return V, mu
 
     def one_minus(self) -> "StepGraphon":
-        one = Fraction(1) if self.exact else 1.0
-        return StepGraphon([[one - x for x in r] for r in self.values], self.weights)
+        return StepGraphon([[1 - x for x in r] for r in self.values], self.weights)
 
     def signed(self) -> "SignedStepGraphon":
-        two = Fraction(2) if self.exact else 2.0
-        one = Fraction(1) if self.exact else 1.0
-        return SignedStepGraphon(
-            [[two * x - one for x in r] for r in self.values], self.weights
-        )
+        return SignedStepGraphon([[2 * x - 1 for x in r] for r in self.values], self.weights)
 
     def __eq__(self, other):
         return (
@@ -141,14 +136,7 @@ def _parse_number(tok: str):
 def parse_graphon(text: str, signed: bool = False) -> StepGraphon:
     """Line 1: k.  Line 2: k part weights.  Then k rows of k values.
     Numbers are decimals or rationals like 3/7; all-rational input parses exact."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty kernel description")
-    try:
-        k = int(lines[0])
-    except ValueError:
-        raise ValueError(f"bad part count line: {lines[0]!r}") from None
+    k, lines = parse_prelude(text, "kernel", "part count")
     if k < 1:
         raise ValueError("part count must be at least 1")
     if len(lines) != 2 + k:

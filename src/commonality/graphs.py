@@ -64,16 +64,24 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def parse_graph(text: str) -> Graph:
-    """First non-blank line: n.  Each further line: one edge "u v", 0-indexed."""
+def parse_prelude(text: str, what: str, count: str):
+    """The shared start of the text formats: stripped lines without blanks
+    and '#' comments, the first of which is an integer.  Returns (that
+    integer, the lines); what and count name the description and the first
+    line in the error messages."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ValueError("empty graph description")
+        raise ValueError(f"empty {what} description")
     try:
-        n = int(lines[0])
+        return int(lines[0]), lines
     except ValueError:
-        raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
+        raise ValueError(f"bad {count} line: {lines[0]!r}") from None
+
+
+def parse_graph(text: str) -> Graph:
+    """First non-blank line: n.  Each further line: one edge "u v", 0-indexed."""
+    n, lines = parse_prelude(text, "graph", "vertex count")
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
     edges = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .decomposition import find_triangle_decomposition
 from .density import m, t_hom, t_signed
@@ -22,14 +23,10 @@ from .graphs import (
     connected_bipartite_up_to_5,
     pendant_attach,
 )
-from .graphons import SignedStepGraphon, StepGraphon
+from .graphons import SignedStepGraphon, StepGraphon, _exact_num
 
 INEQ_TOL = 1e-9
 IDENTITY_TOL = 1e-12
-
-
-def _exact_num(x):
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _fmt(x):
@@ -68,19 +65,23 @@ def format_reports(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ge(name, lhs, rhs, w=None, tol=INEQ_TOL, detail=""):
+def _sides(lhs, rhs):
+    """The one choice between exact and float arithmetic in the battery:
+    (lhs, rhs, True) when both sides are exact, else both as floats."""
     if _exact_num(lhs) and _exact_num(rhs):
-        holds = lhs >= rhs
-    else:
-        holds = lhs - rhs >= -tol
+        return lhs, rhs, True
+    return float(lhs), float(rhs), False
+
+
+def _ge(name, lhs, rhs, w=None, tol=INEQ_TOL, detail=""):
+    lhs, rhs, exact = _sides(lhs, rhs)
+    holds = lhs >= rhs if exact else lhs - rhs >= -tol
     return InequalityReport(name, lhs, rhs, holds, witness=w, detail=detail)
 
 
 def _identity(name, lhs, rhs, w=None, tol=IDENTITY_TOL, detail=""):
-    if _exact_num(lhs) and _exact_num(rhs):
-        holds = lhs == rhs
-    else:
-        holds = abs(lhs - rhs) <= tol
+    lhs, rhs, exact = _sides(lhs, rhs)
+    holds = lhs == rhs if exact else abs(lhs - rhs) <= tol
     return InequalityReport(name, lhs, rhs, holds, identity=True, witness=w, detail=detail)
 
 
@@ -90,10 +91,8 @@ def _na(name, w=None, detail=""):
 
 def check_goodman(w: StepGraphon, tol=IDENTITY_TOL) -> InequalityReport:
     """Triangle density identity: m(K3) = (3/2) m(path-2) - 1/2, exactly."""
-    lhs = m(catalog("k3"), w)
-    half_ = Fraction(1, 2) if _exact_num(lhs) else 0.5
-    rhs = 3 * m(catalog("k1,2"), w) * half_ - half_
-    return _identity("goodman", lhs, rhs, w, tol)
+    rhs = (3 * m(catalog("k1,2"), w) - 1) / 2
+    return _identity("goodman", m(catalog("k3"), w), rhs, w, tol)
 
 
 def check_holder(h: Graph, j: Graph, f: Graph, k: int, l: int, w: StepGraphon,
@@ -101,7 +100,8 @@ def check_holder(h: Graph, j: Graph, f: Graph, k: int, l: int, w: StepGraphon,
     """If t_h >= t_j^l / t_f^(k-1) holds in both colours, then
     m_h >= 2^(k-l) m_j^l / m_f^(k-1).  Hypotheses are tested first; a failed
     hypothesis or m_f = 0 gives a not-applicable report."""
-    assert l >= k >= 1, "exponents must satisfy l >= k >= 1"
+    if not l >= k >= 1:
+        raise ValueError("exponents must satisfy l >= k >= 1")
     name = name or f"holder[k={k},l={l}]"
     for side, wk in (("", w), ("complement", w.one_minus())):
         th, tj, tf = t_hom(h, wk), t_hom(j, wk), t_hom(f, wk)
@@ -112,9 +112,7 @@ def check_holder(h: Graph, j: Graph, f: Graph, k: int, l: int, w: StepGraphon,
     mh, mj, mf = m(h, w), m(j, w), m(f, w)
     if mf <= 0:
         return _na(name, w, detail="m of the denominator graph vanishes")
-    two = Fraction(2) if _exact_num(mh) and _exact_num(mj) and _exact_num(mf) else 2.0
-    rhs = two ** (k - l) * mj ** l / mf ** (k - 1)
-    return _ge(name, mh, rhs, w, tol)
+    return _ge(name, mh, Fraction(2) ** (k - l) * mj ** l / mf ** (k - 1), w, tol)
 
 
 def check_jtree_bound(h: Graph, w: StepGraphon, tol=INEQ_TOL) -> InequalityReport:
@@ -143,11 +141,7 @@ def check_tritree_chain(h: Graph, w: StepGraphon, tol=INEQ_TOL, prefix="tritree"
     out[0].name = f"{prefix}:density"
     mid = check_holder(h, k3, k2, rep.kappa + 1, rep.phi, w, tol, name=f"{prefix}:holder")
     out.append(mid)
-    mh = m(h, w)
-    target = Fraction(2) ** (1 - h.e)
-    if not _exact_num(mh):
-        target = float(target)
-    out.append(_ge(f"{prefix}:common", mh, target, w, tol))
+    out.append(_ge(f"{prefix}:common", m(h, w), Fraction(2) ** (1 - h.e), w, tol))
     return out
 
 
@@ -174,11 +168,7 @@ def check_addtree_bound(t: Graph, u: int, h: Graph, v: int, w: StepGraphon,
                            detail="multiplicative form"))
         else:
             out.append(_ge(name, tg, tt ** rep.phi / te ** (rep.kappa - t.e), w, tol))
-    mg = m(glued, w)
-    target = Fraction(2) ** (1 - glued.e)
-    if not _exact_num(mg):
-        target = float(target)
-    out.append(_ge("addtree:common", mg, target, w, tol))
+    out.append(_ge("addtree:common", m(glued, w), Fraction(2) ** (1 - glued.e), w, tol))
     return out
 
 
@@ -187,20 +177,15 @@ DIAMOND_C_MAX_EXACT = Fraction(19, 100)
 
 def check_diamond_lemma(w: StepGraphon, c, tol=INEQ_TOL) -> InequalityReport:
     """m_diamond - 1/16 >= c (m_C4 - 1/8) for small nonnegative c."""
-    exact = w.exact and _exact_num(c)
-    if exact:
-        assert 0 <= c <= DIAMOND_C_MAX_EXACT, "exact mode accepts c up to 19/100"
+    if w.exact and _exact_num(c):
+        if not 0 <= c <= DIAMOND_C_MAX_EXACT:
+            raise ValueError("exact mode accepts c up to 19/100")
     else:
         c = float(c)
-        assert 0 <= c <= (3 - math.sqrt(5)) / 4 + 1e-15, "c outside [0, (3-sqrt5)/4]"
-    md = m(catalog("diamond"), w)
-    mc4 = m(catalog("c4"), w)
-    if exact:
-        lhs = md - Fraction(1, 16)
-        rhs = c * (mc4 - Fraction(1, 8))
-    else:
-        lhs = float(md) - 1.0 / 16
-        rhs = c * (float(mc4) - 1.0 / 8)
+        if not 0 <= c <= (3 - math.sqrt(5)) / 4 + 1e-15:
+            raise ValueError("c outside [0, (3-sqrt5)/4]")
+    lhs = m(catalog("diamond"), w) - Fraction(1, 16)
+    rhs = c * (m(catalog("c4"), w) - Fraction(1, 8))
     return _ge(f"diamond-lemma[c={_fmt(c)}]", lhs, rhs, w, tol)
 
 
@@ -211,10 +196,9 @@ def check_k3plus_cs(u: SignedStepGraphon, tol=INEQ_TOL):
     star = t_signed(catalog("k1,2"), u)
     c4 = t_signed(catalog("c4"), u)
     tail = t_signed(catalog("k3plus"), u)
-    zero = Fraction(0) if _exact_num(star) else 0.0
     return [
-        _ge("k3plus-cs:star-nonneg", star, zero, u, tol),
-        _ge("k3plus-cs:c4-nonneg", c4, zero, u, tol),
+        _ge("k3plus-cs:star-nonneg", star, Fraction(0), u, tol),
+        _ge("k3plus-cs:c4-nonneg", c4, Fraction(0), u, tol),
         _ge("k3plus-cs", star * c4, tail * tail, u, tol),
     ]
 
@@ -222,10 +206,13 @@ def check_k3plus_cs(u: SignedStepGraphon, tol=INEQ_TOL):
 def beachball_h(k: int, c, x):
     """Lower-bound curve for the doubled wheel over a 2k-cycle, as a function
     of x = sqrt(m_diamond).  Rational in x; exact for Fraction inputs."""
-    assert k >= 1
-    assert x >= Fraction(1, 4), "defined for x >= 1/4"
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not x >= Fraction(1, 4):
+        raise ValueError("defined for x >= 1/4")
     den = (2 * x + 1) ** (2 * k - 2) * (16 * x * x - 1 + 2 * c)
-    assert den > 0, "pole in the denominator"
+    if not den > 0:
+        raise ValueError("pole in the denominator")
     return 16 * 3 ** (2 * k - 2) * c * x ** (4 * k) / den
 
 
@@ -236,13 +223,9 @@ def beachball_p(k: int, x):
 
 def beachball_p_shifted(k: int, x):
     """Same cubic recentred at 1/4; coefficients there are positive for k >= 2."""
-    if _exact_num(x):
-        y = x - Fraction(1, 4)
-        tail = Fraction(10 * k - 19, 4)
-    else:
-        y = x - 0.25
-        tail = (10 * k - 19) / 4.0
-    return 112 * k * y ** 3 + (196 * k - 56) * y ** 2 + (72 * k - 33) * y + tail
+    y = x - Fraction(1, 4)
+    return (112 * k * y ** 3 + (196 * k - 56) * y ** 2 + (72 * k - 33) * y
+            + Fraction(10 * k - 19, 4))
 
 
 def beachball_p_positive_on_grid(k: int, lo=Fraction(1, 4), hi=Fraction(4),
@@ -258,7 +241,8 @@ def beachball_p_positive_on_grid(k: int, lo=Fraction(1, 4), hi=Fraction(4),
 def check_beachball_chain(k: int, w: StepGraphon, c=Fraction(1, 7), tol=INEQ_TOL):
     """m of the doubled wheel over C_{2k}: first against the diamond-power
     ratio, then against the explicit curve at x = sqrt(m_diamond)."""
-    assert k >= 2
+    if k < 2:
+        raise ValueError("the doubled wheel needs k >= 2")
     ball = catalog(f"beachball:{k}")
     md = m(catalog("diamond"), w)
     mstar = m(catalog("k1,2"), w)
@@ -276,29 +260,30 @@ def check_beachball_chain(k: int, w: StepGraphon, c=Fraction(1, 7), tol=INEQ_TOL
     return out
 
 
+@cache
 def _ten_list():
-    return {canonical_form(g) for g in connected_bipartite_up_to_5()}
+    return frozenset(canonical_form(g) for g in connected_bipartite_up_to_5())
+
+
+def _require_ten_list(h: Graph):
+    if canonical_form(h) not in _ten_list():
+        raise ValueError("apex bound is only claimed for the ten small connected bipartite graphs")
 
 
 def check_apex_lemma(h: Graph, w: StepGraphon, tol=INEQ_TOL) -> InequalityReport:
     """m(h plus one dominating vertex) >= 2^(-v) m(h), for h in the list of
     connected bipartite graphs on up to five vertices."""
-    if canonical_form(h) not in _ten_list():
-        raise ValueError("apex bound is only claimed for the ten small connected bipartite graphs")
-    lhs = m(apex_add(h, 1), w)
-    mh = m(h, w)
-    scale = Fraction(2) ** (-h.n)
-    if not (_exact_num(lhs) and _exact_num(mh)):
-        scale = float(scale)
-    return _ge(f"apex[v={h.n},e={h.e}]", lhs, scale * mh, w, tol)
+    _require_ten_list(h)
+    return _ge(f"apex[v={h.n},e={h.e}]", m(apex_add(h, 1), w), Fraction(2) ** -h.n * m(h, w),
+               w, tol)
 
 
 def check_apex_chain(h: Graph, a: int, w: StepGraphon, tol=INEQ_TOL):
     """Chain for a dominating vertices: m_(h+a) >= m_(h+1)^a / m_h^(a-1)
     and then m_(h+a) >= 2^(1 - e(h) - a v(h))."""
-    assert a >= 1
-    if canonical_form(h) not in _ten_list():
-        raise ValueError("apex bound is only claimed for the ten small connected bipartite graphs")
+    if a < 1:
+        raise ValueError("need at least one dominating vertex")
+    _require_ten_list(h)
     mh = m(h, w)
     m1 = m(apex_add(h, 1), w)
     ma = m(apex_add(h, a), w)
@@ -307,10 +292,7 @@ def check_apex_chain(h: Graph, a: int, w: StepGraphon, tol=INEQ_TOL):
         out.append(_na("apex-chain:intermediate", w, detail="m of the base vanishes"))
     else:
         out.append(_ge("apex-chain:intermediate", ma, m1 ** a / mh ** (a - 1), w, tol))
-    target = Fraction(2) ** (1 - h.e - a * h.n)
-    if not _exact_num(ma):
-        target = float(target)
-    out.append(_ge("apex-chain:final", ma, target, w, tol))
+    out.append(_ge("apex-chain:final", ma, Fraction(2) ** (1 - h.e - a * h.n), w, tol))
     return out
 
 

@@ -19,8 +19,9 @@ from commonality.certificate import (
     evaluate_expression,
     load_certificate,
 )
-from commonality.density import t_hom, t_signed
-from commonality.graphs import Graph
+from commonality import density
+from commonality.density import expansion_value, m, t_hom, t_signed
+from commonality.graphs import Graph, catalog, catalog_all
 from commonality.graphons import StepGraphon, corner_graphons, half
 from oracles import induced_pattern_vector_exact
 
@@ -107,6 +108,35 @@ def test_float_and_exact_routes_agree(w, g):
         assert abs(evaluate_expression(key, wf, exact=False) - float(exact)) <= 1e-9, key
 
 
+def test_density_cache_keeps_exact_and_float_apart():
+    # Fraction(1, 2) == 0.5 and both hash alike, so a cache keyed on the
+    # kernel's tuples alone would hand one route's result to the other
+    exact, flt = half(), StepGraphon([[0.5]])
+    for order in ((exact, flt), (flt, exact)):
+        density._t_one.cache_clear()
+        for w in order:
+            for g in (catalog("k3"), catalog("c4")):
+                want = Fraction if w.exact else float
+                got = [t_hom(g, w), t_signed(g, w.signed()), m(g, w)]
+                assert [type(x) for x in got] == [want] * 3
+                assert got == [Fraction(1, 8) if g.e == 3 else Fraction(1, 16),
+                               0, 2 * Fraction(1, 2) ** g.e]
+
+
+SMALL_CATALOG = [name for name, g in catalog_all() if g.e <= 8]
+
+
+@EXACT
+@given(rational_kernels(), st.sampled_from(SMALL_CATALOG))
+def test_expansion_value_equals_m(w, name):
+    g = catalog(name)
+    want = m(g, w)
+    assert expansion_value(g, w) == want
+    wf = as_float(w)
+    assert abs(expansion_value(g, wf) - float(want)) <= 1e-12
+    assert abs(m(g, wf) - float(want)) <= 1e-12
+
+
 def seeded_rational_kernel(k: int, rng: random.Random) -> StepGraphon:
     upper = {(i, j): Fraction(rng.randint(0, 12), 12) for i in range(k) for j in range(i, k)}
     values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
@@ -133,22 +163,34 @@ def test_certificate_identity_exact():
 
 
 def test_exact_guards_raise_value_error_under_optimize():
-    # every size, exactness and configuration guard must survive python -O,
-    # which strips assert statements
+    # every size, exactness and configuration guard, and every precondition
+    # of the inequality battery, must survive python -O, which strips assert
+    # statements
     script = "\n".join([
         "from fractions import Fraction",
         "from commonality.certificate import evaluate_expression",
         "from commonality.density import t_hom",
         "from commonality.graphs import catalog",
-        "from commonality.graphons import StepGraphon, constant_graphon",
+        "from commonality.graphons import StepGraphon, constant_graphon, half",
+        "from commonality.inequalities import (beachball_h, check_apex_chain,",
+        "    check_beachball_chain, check_diamond_lemma, check_holder)",
         "from commonality.search import MinimizeConfig, grid_minimum_two_parts",
+        "k2, k3 = catalog('k2'), catalog('k3')",
         "cases = [lambda: evaluate_expression(1, StepGraphon([[0.5]], [1.0]), exact=True),",
         "         lambda: t_hom(catalog('k5'), constant_graphon(Fraction(1, 2), k=40)),",
         "         lambda: MinimizeConfig(parts=0),",
         "         lambda: MinimizeConfig(restarts=0),",
         "         lambda: MinimizeConfig(max_iter=0),",
         "         lambda: MinimizeConfig(box=(0.5, 0.2)),",
-        "         lambda: grid_minimum_two_parts(catalog('k3'), resolution=0)]",
+        "         lambda: grid_minimum_two_parts(catalog('k3'), resolution=0),",
+        "         lambda: check_holder(k3, k2, k2, 3, 2, half()),",
+        "         lambda: check_diamond_lemma(half(), Fraction(1, 5)),",
+        "         lambda: check_diamond_lemma(half(), 0.21),",
+        "         lambda: beachball_h(0, Fraction(1, 7), Fraction(1, 4)),",
+        "         lambda: beachball_h(2, Fraction(1, 7), Fraction(1, 5)),",
+        "         lambda: beachball_h(2, 0, Fraction(1, 4)),",
+        "         lambda: check_beachball_chain(1, half()),",
+        "         lambda: check_apex_chain(catalog('c4'), 0, half())]",
         "for case in cases:",
         "    try:",
         "        case()",
@@ -163,5 +205,5 @@ def test_exact_guards_raise_value_error_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 7
+    assert proc.stdout.split() == ["ValueError"] * 15
 

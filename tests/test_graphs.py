@@ -82,6 +82,21 @@ def test_parse_format_roundtrip():
         parse_graph("")
 
 
+def test_parsers_share_prelude_messages():
+    from commonality.decomposition import parse_decomposition
+    from commonality.graphons import parse_graphon
+
+    for parse, what, count in ((parse_graph, "graph", "vertex count"),
+                               (parse_graphon, "kernel", "part count"),
+                               (parse_decomposition, "decomposition", "bag count")):
+        with pytest.raises(ValueError) as exc:
+            parse("  \n# only a comment\n\n")
+        assert str(exc.value) == f"empty {what} description"
+        with pytest.raises(ValueError) as exc:
+            parse("# header\n  two \n0 1\n")
+        assert str(exc.value) == f"bad {count} line: 'two'"
+
+
 def test_predicates():
     assert is_connected(catalog("jst"))
     assert not is_connected(disjoint_union(catalog("k2"), catalog("k2")))

@@ -55,7 +55,7 @@ def test_holder_diamond_tight_at_half():
 
 
 def test_holder_rejects_bad_exponents():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_holder(catalog("k3"), catalog("k2"), catalog("k2"), 3, 2, half())
 
 
@@ -119,9 +119,9 @@ def test_diamond_lemma():
     for w in SMALL_SUITE:
         assert check_diamond_lemma(w, 1.0 / 7).holds
         assert check_diamond_lemma(w, cmax).holds
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_diamond_lemma(half(), Fraction(1, 5))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_diamond_lemma(SMALL_SUITE[0], 0.21)
 
 
@@ -141,7 +141,7 @@ def test_beachball_h_frozen_value():
 
 
 def test_beachball_h_preconditions():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         beachball_h(2, Fraction(1, 7), Fraction(1, 5))
 
 
