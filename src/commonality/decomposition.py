@@ -5,6 +5,18 @@ A graph built by repeatedly gluing new triangles onto an existing one, either
 along an edge or at a single vertex, has a tree decomposition into triangle
 bags.  With e edges and v vertices such a graph has exactly phi = e - v + 1
 bags, of which kappa = 2e - 3v + 3 pairs of adjacent bags share an edge.
+
+The recognizer peels leaf triangles off a connected graph.  It takes a
+degree-2 vertex z whose neighbours u and v are adjacent, and
+  (a) if u or v also has degree 2, removes z and that vertex (a triangle
+      glued at one vertex);
+  (b) otherwise, if u and v have a common neighbour besides z, removes z
+      alone (a triangle glued along uv);
+skipping any other z, until one triangle is left (accept) or no z qualifies
+(reject).  No search is needed.  Each gluing creates exactly one triangle, so
+every triangle of a triangle-tree is a bag.  A leaf bag always offers an (a)
+or (b) peel, each peel leaves a triangle-tree, and undoing a peel is a
+gluing, so any peel order succeeds exactly on triangle-trees.
 """
 from __future__ import annotations
 
@@ -55,6 +67,17 @@ def format_decomposition(d: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reachable(adj, start, allowed):
+    """The bags reachable from start along tree edges through allowed bags."""
+    seen, stack = {start}, [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def validate_diagnostics(h: Graph, d: TreeDecomposition):
     """All tree-decomposition axiom failures, as human-readable strings."""
     problems = []
@@ -81,15 +104,7 @@ def validate_diagnostics(h: Graph, d: TreeDecomposition):
     for i, j in d.tree_edges:
         adj[i].add(j)
         adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != nb:
+    if len(_reachable(adj, 0, adj)) != nb:
         problems.append("bag tree is disconnected")
     if problems:
         return problems
@@ -102,19 +117,8 @@ def validate_diagnostics(h: Graph, d: TreeDecomposition):
         if not any(u in bag and v in bag for bag in d.bags):
             problems.append(f"edge ({u},{v}) is inside no bag")
     for v in range(h.n):
-        holding = [i for i in range(nb) if v in d.bags[i]]
-        if len(holding) <= 1:
-            continue
-        hset = set(holding)
-        comp = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in hset and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != hset:
+        holding = {i for i in range(nb) if v in d.bags[i]}
+        if holding and _reachable(adj, min(holding), holding) != holding:
             problems.append(f"bags containing vertex {v} do not form a subtree")
     return problems
 
@@ -164,133 +168,53 @@ class TriangleTreeReport:
     edge_intersection_count: int
 
 
-def _degrees(edges):
-    deg = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def _is_single_triangle(edges):
-    if len(edges) != 3:
-        return False
-    verts = set()
-    for u, v in edges:
-        verts.add(u)
-        verts.add(v)
-    return len(verts) == 3
-
-
-def _peel(edges, memo):
-    """Peel leaf triangles off the edge set; returns the removal steps in
-    peel order, or None.  Steps are ("edge", z, (u, v)) for a triangle glued
-    along the edge uv, and ("vertex", (z, y), x) for one glued at x."""
-    if _is_single_triangle(edges):
-        return []
-    if edges in memo:
-        return None
-    deg = _degrees(edges)
-    verts = len(deg)
-    e = len(edges)
-    # counting invariants of any candidate remainder are checked before recursing
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    candidates = []
-    seen_vertex_pairs = set()
-    for z in sorted(deg):
-        if deg[z] != 2:
-            continue
-        u, v = sorted(adj[z])
-        if u not in adj[v]:
-            continue
-        for other in (u, v):
-            if deg[other] == 2:
-                pair = frozenset((z, other))
-                if pair not in seen_vertex_pairs:
-                    seen_vertex_pairs.add(pair)
-                    x = v if other == u else u
-                    candidates.append(("vertex", tuple(sorted((z, other))), x))
-        candidates.append(("edge", z, (u, v)))
-
-    for step in candidates:
-        if step[0] == "vertex":
-            (z, y), x = step[1], step[2]
-            gone = {frozenset(p) for p in ((z, y), (z, x), (y, x))}
-            rest = frozenset(p for p in edges if frozenset(p) not in gone)
-            dv, de = verts - 2, e - 3
-        else:
-            z, (u, v) = step[1], step[2]
-            gone = {frozenset((z, u)), frozenset((z, v))}
-            rest = frozenset(p for p in edges if frozenset(p) not in gone)
-            dv, de = verts - 1, e - 2
-        kappa = 2 * de - 3 * dv + 3
-        phi = de - dv + 1
-        if kappa < 0 or kappa > phi - 1:
-            continue
-        sub = _peel(rest, memo)
-        if sub is not None:
-            return [step] + sub
-    memo.add(edges)
-    return None
-
-
 def find_triangle_decomposition(h: Graph):
-    """Recognize a graph glued from triangles; returns a TriangleTreeReport
-    with a decomposition passing validate and is_j_decomposition, or None."""
-    n, e = h.n, h.e
-    if n < 3 or not is_connected(h):
+    """Recognize a graph glued from triangles by greedy leaf peeling; returns
+    a TriangleTreeReport with a decomposition passing validate and
+    is_j_decomposition, or None."""
+    if not is_connected(h):
         return None
-    phi = e - n + 1
-    kappa = 2 * e - 3 * n + 3
-    if kappa < 0 or kappa > phi - 1:
-        return None
-    if e != 3 * phi - kappa:
-        return None
-    for v in range(n):
-        if h.degree(v) < 2:
-            return None
-    # every edge must lie in a triangle
+    adj = {v: set() for v in range(h.n)}
     for u, v in h.edges:
-        if not h.adj[u] & h.adj[v]:
+        adj[u].add(v)
+        adj[v].add(u)
+    peels = []  # (bag, shared vertices) in peel order
+    while len(adj) > 3 or sum(map(len, adj.values())) != 6:
+        for z in adj:
+            if len(adj[z]) != 2:
+                continue
+            u, v = adj[z]
+            if v not in adj[u]:
+                continue
+            if len(adj[v]) == 2:
+                u, v = v, u
+            if len(adj[u]) == 2:  # (a) glued at v
+                gone, shared = (z, u), (v,)
+            elif len(adj[u] & adj[v]) > 1:  # (b) glued along uv
+                gone, shared = (z,), (u, v)
+            else:
+                continue
+            break
+        else:
             return None
+        peels.append(((z, u, v), shared))
+        for y in gone:
+            for x in adj.pop(y):
+                adj[x].discard(y)
 
-    edges = frozenset(h.edges)
-    steps = _peel(edges, set())
-    if steps is None:
-        return None
-
-    # rebuild bags in reverse peel order; the base triangle is what remains
-    remaining = set(map(frozenset, h.edges))
-    for step in steps:
-        if step[0] == "vertex":
-            (z, y), x = step[1], step[2]
-            remaining -= {frozenset(p) for p in ((z, y), (z, x), (y, x))}
-        else:
-            z, (u, v) = step[1], step[2]
-            remaining -= {frozenset((z, u)), frozenset((z, v))}
-    base = tuple(sorted(set().union(*remaining)))
-    assert len(base) == 3
-    bags = [base]
+    # undoing the peels glues the bags back on, each to the first earlier
+    # bag holding its shared vertices
+    bags = [tuple(adj)]
     tree_edges = []
-    for step in reversed(steps):
-        if step[0] == "vertex":
-            (z, y), x = step[1], step[2]
-            new_bag = tuple(sorted((z, y, x)))
-            target = next(i for i, b in enumerate(bags) if x in b)
-        else:
-            z, (u, v) = step[1], step[2]
-            new_bag = tuple(sorted((z, u, v)))
-            target = next(i for i, b in enumerate(bags) if u in b and v in b)
-        bags.append(new_bag)
-        tree_edges.append((target, len(bags) - 1))
+    for bag, shared in reversed(peels):
+        target = next(i for i, b in enumerate(bags) if set(shared) <= set(b))
+        tree_edges.append((target, len(bags)))
+        bags.append(bag)
     d = TreeDecomposition(tuple(bags), tuple(tree_edges))
     shared = sum(
         1 for i, j in d.tree_edges if len(set(d.bags[i]) & set(d.bags[j])) == 2
     )
+    phi, kappa = h.e - h.n + 1, 2 * h.e - 3 * h.n + 3
     assert len(bags) == phi and shared == kappa
     return TriangleTreeReport(phi, kappa, d, shared)
 
@@ -310,7 +234,8 @@ def extend_with_pendant_tree(h: Graph, d: TreeDecomposition, t: Graph, u: int, v
     for bag in d.bags:
         if len(bag) != 3 or canonical_form(induced_subgraph(h, bag)) != ck3:
             raise ValueError(f"bag {bag} does not induce a triangle")
-    assert is_tree(t)
+    if not is_tree(t):
+        raise ValueError("the pendant graph must be a tree")
     if t.n == 1:
         return h, d
 
@@ -352,8 +277,9 @@ def extend_with_pendant_tree(h: Graph, d: TreeDecomposition, t: Graph, u: int, v
 def random_triangle_tree(rng, bag_count: int, max_vertices: int = 16) -> Graph:
     """Random graph glued from bag_count triangles, mixing edge and vertex
     gluings while respecting the vertex cap.  rng is a random.Random."""
-    assert bag_count >= 1
-    assert 3 + (bag_count - 1) <= max_vertices, "too many bags for the vertex cap"
+    if not 1 <= bag_count <= max_vertices - 2:
+        raise ValueError(f"bag count {bag_count} out of range 1..{max_vertices - 2} "
+                         "for the vertex cap")
     edges = [(0, 1), (0, 2), (1, 2)]
     n = 3
     for step in range(bag_count - 1):

@@ -15,7 +15,8 @@ def _copy(rows):
     out = [[Fraction(x) for x in row] for row in rows]
     if out:
         width = len(out[0])
-        assert all(len(row) == width for row in out)
+        if any(len(row) != width for row in out):
+            raise ValueError("rows of unequal length")
     return out
 
 
@@ -83,7 +84,8 @@ def mat_vec(rows, x) -> list[Fraction]:
     """Exact matrix-vector product."""
     out = []
     for row in rows:
-        assert len(row) == len(x)
+        if len(row) != len(x):
+            raise ValueError("row of length %d against a vector of length %d" % (len(row), len(x)))
         acc = Fraction(0)
         for a, b in zip(row, x):
             acc += Fraction(a) * Fraction(b)

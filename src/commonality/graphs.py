@@ -25,11 +25,13 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_hash")
 
     def __init__(self, n, edges=()):
-        assert 0 <= n <= MAX_VERTICES, f"vertex count {n} out of range"
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
         adj = [0] * n
         es = set()
         for u, v in edges:
-            assert 0 <= u < n and 0 <= v < n and u != v, f"bad edge ({u},{v})"
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise ValueError(f"bad edge ({u},{v}) for n={n}")
             if u > v:
                 u, v = v, u
             if (u, v) not in es:
@@ -89,10 +91,7 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"bad edge ({u},{v}) for n={n}")
-        edges.append((u, v))
+        edges.append((int(parts[0]), int(parts[1])))
     return Graph(n, edges)
 
 
@@ -104,7 +103,8 @@ def format_graph(g: Graph) -> str:
 
 def relabel(g: Graph, perm) -> Graph:
     """perm[old] = new vertex label; perm must be a bijection on range(n)."""
-    assert sorted(perm) == list(range(g.n))
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"relabelling is not a permutation of 0..{g.n - 1}")
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
@@ -325,7 +325,8 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 
 def apex_add(h: Graph, a: int) -> Graph:
     """Add a new vertices, each adjacent to all of h and to none of each other."""
-    assert a >= 0 and h.n + a <= MAX_VERTICES
+    if not 0 <= a <= MAX_VERTICES - h.n:
+        raise ValueError(f"{a} apex vertices on {h.n} vertices is out of range")
     edges = list(h.edges)
     for i in range(a):
         w = h.n + i
@@ -339,9 +340,12 @@ def pendant_map(t: Graph, u: int, h: Graph, v: int):
     Returns (glued graph, mapping from t's vertices to the new labels).
     t's other vertices go to h.n, h.n+1, ... in sorted order.
     """
-    assert is_tree(t), "attachment graph must be a tree"
-    assert 0 <= u < t.n and 0 <= v < h.n
-    assert h.n + t.n - 1 <= MAX_VERTICES, "glued graph exceeds the vertex cap"
+    if not is_tree(t):
+        raise ValueError("attachment graph must be a tree")
+    if not (0 <= u < t.n and 0 <= v < h.n):
+        raise ValueError(f"attachment vertices {u}, {v} out of range")
+    if h.n + t.n - 1 > MAX_VERTICES:
+        raise ValueError("glued graph exceeds the vertex cap")
     mapping = {u: v}
     nxt = h.n
     for w in range(t.n):
@@ -402,7 +406,8 @@ def even_expansion(h: Graph) -> GraphCombination:
     The coefficients sum to 2^(e-1) for e >= 1.
     """
     e = h.e
-    assert e <= 20, "subset enumeration capped at 20 edges"
+    if e > 20:
+        raise ValueError(f"subset enumeration capped at 20 edges, got {e}")
     edges = h.sorted_edges()
     counts = {}
     for r in range(0, e + 1, 2):
@@ -422,7 +427,8 @@ def _complete(n):
 
 def _complete_multipartite(sizes):
     n = sum(sizes)
-    assert n <= MAX_VERTICES
+    if n > MAX_VERTICES:
+        raise ValueError(f"complete multipartite graph on {n} vertices exceeds the cap")
     label = []
     for i, s in enumerate(sizes):
         label += [i] * s
@@ -431,12 +437,14 @@ def _complete_multipartite(sizes):
 
 
 def _cycle(n):
-    assert n >= 3, "cycles need at least 3 vertices"
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _path(n):
-    assert n >= 1
+    if n < 1:
+        raise ValueError("paths need at least 1 vertex")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -465,7 +473,8 @@ def catalog(name: str) -> Graph:
     m = re.fullmatch(r"k(\d+)", key)
     if m:
         n = int(m.group(1))
-        assert 1 <= n <= MAX_VERTICES
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"k{n} needs 1 <= n <= {MAX_VERTICES}")
         return _complete(n)
     m = re.fullmatch(r"k(\d+),(\d+)", key)
     if m:
@@ -482,12 +491,14 @@ def catalog(name: str) -> Graph:
     m = re.fullmatch(r"d:(\d+)", key)
     if m:
         k = int(m.group(1))
-        assert k >= 1 and k + 3 <= MAX_VERTICES
+        if not 1 <= k <= MAX_VERTICES - 3:
+            raise ValueError(f"d:{k} needs 1 <= k <= {MAX_VERTICES - 3}")
         return apex_add(_path(k + 1), 2)
     m = re.fullmatch(r"beachball:(\d+)", key)
     if m:
         k = int(m.group(1))
-        assert k >= 2 and 2 * k + 2 <= MAX_VERTICES
+        if not 2 <= k <= (MAX_VERTICES - 2) // 2:
+            raise ValueError(f"beachball:{k} needs 2 <= k <= {(MAX_VERTICES - 2) // 2}")
         return apex_add(_cycle(2 * k), 2)
     raise KeyError(f"unknown catalog graph: {name!r}")
 

@@ -26,6 +26,10 @@ from .graphons import StepGraphon
 # |value - 2^(1-e)| below this counts as sitting on the commonality target
 VERDICT_BAND = 1e-5
 
+# descent step: initial size, growth after an accepted step, shrink after a
+# rejected one, and the size below which a restart stops
+STEP0, STEP_GROW, STEP_SHRINK, MIN_STEP = 0.25, 1.3, 0.5, 1e-12
+
 
 # ---------------------------------------------------------------------------
 # analytic gradient
@@ -65,13 +69,8 @@ class MinimizeConfig:
     parts: int = 3
     restarts: int = 16
     max_iter: int = 400
-    step0: float = 0.25
-    step_grow: float = 1.3
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
     seed: int = 2026
     optimize_weights: bool = False
-    box: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if self.parts < 1:
@@ -80,9 +79,6 @@ class MinimizeConfig:
             raise ValueError("need at least one restart")
         if self.max_iter < 1:
             raise ValueError("need at least one evaluation per restart")
-        lo, hi = self.box
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("projection box must sit inside [0,1]")
 
 
 @dataclass
@@ -141,20 +137,19 @@ def _descend(h: Graph, V: np.ndarray, mu: np.ndarray, cfg: MinimizeConfig):
     """Projected descent with backtracking from a batch of starts, V (R, k, k)
     and mu (R, k), run side by side.  Each restart keeps its own step size,
     trace and evaluation count, and freezes once its evaluations reach
-    max_iter or its step falls below min_step; each gradient call covers
+    max_iter or its step falls below MIN_STEP; each gradient call covers
     only the live restarts.  Returns the winner, the lowest value and then
     the lowest index, as (value, V, mu, trace, restart)."""
-    lo, hi = cfg.box
     V, mu = np.array(V, dtype=np.float64), np.array(mu, dtype=np.float64)
     val, grad, gmu = _m_value_gradient(h, V, mu, cfg.optimize_weights)
-    step = np.full(len(V), cfg.step0)
+    step = np.full(len(V), STEP0)
     trace, evals = np.ones((2, len(V)), dtype=np.int64)
     while True:
-        live = np.flatnonzero((evals < cfg.max_iter) & (step >= cfg.min_step))
+        live = np.flatnonzero((evals < cfg.max_iter) & (step >= MIN_STEP))
         if not len(live):
             break
         s = step[live]
-        cand_v = np.clip(V[live] - s[:, None, None] * grad[live], lo, hi)
+        cand_v = np.clip(V[live] - s[:, None, None] * grad[live], 0.0, 1.0)
         cand_mu = (_project_simplex(mu[live] - s[:, None] * gmu[live])
                    if cfg.optimize_weights else mu[live])
         cval, cgrad, cgmu = _m_value_gradient(h, cand_v, cand_mu, cfg.optimize_weights)
@@ -164,7 +159,7 @@ def _descend(h: Graph, V: np.ndarray, mu: np.ndarray, cfg: MinimizeConfig):
         V[won], mu[won], val[won] = cand_v[ok], cand_mu[ok], cval[ok]
         grad[won], gmu[won] = cgrad[ok], cgmu[ok]
         trace[won] += 1
-        step[live] = np.where(ok, np.minimum(s * cfg.step_grow, 1.0), s * cfg.step_shrink)
+        step[live] = np.where(ok, np.minimum(s * STEP_GROW, 1.0), s * STEP_SHRINK)
     r = int(np.argmin(val))
     return float(val[r]), V[r], mu[r], int(trace[r]), r
 

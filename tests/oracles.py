@@ -1,7 +1,8 @@
 """Reference oracles that enumerate every assignment of parts to sample
-points, or every colouring of a complete graph, directly.  They share no
-code with the package's multiset, elimination and colouring-class routes,
-and are meant for small part and point counts."""
+points, every colouring of a complete graph, or every gluing order of a
+graph's triangles, directly.  They share no code with the package's
+multiset, elimination, colouring-class and leaf-peeling routes, and are
+meant for small part and point counts."""
 import itertools
 from fractions import Fraction
 
@@ -119,3 +120,36 @@ def t_value_gradient_brute(h: Graph, V: np.ndarray, mu: np.ndarray):
     for s in range(v_act):
         np.add.at(gmu, idx[s], full * (wpre[s] * wsuf[s + 1]))
     return value, G, gmu
+
+
+def is_triangle_tree(g: Graph) -> bool:
+    """Whether some order of all of g's triangles glues g together: each
+    triangle after the first meets the union so far in exactly one vertex or
+    in exactly one edge of that union, and the triangles cover every vertex
+    and edge.  Orders are searched depth first, and a set of placed
+    triangles that cannot be completed is not tried again."""
+    tris = [t for t in itertools.combinations(range(g.n), 3)
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(t, 2))]
+    covered = {p for t in tris for p in itertools.combinations(t, 2)}
+    if not tris or covered != set(g.edges) or {v for t in tris for v in t} != set(range(g.n)):
+        return False
+    dead = set()
+
+    def extend(placed, verts, edges):
+        rest = [t for t in tris if t not in placed]
+        if not rest:
+            return True
+        # a triangle whose three vertices are all placed can never be glued on
+        if placed in dead or any(set(t) <= verts for t in rest):
+            return False
+        for t in rest:
+            meet = tuple(v for v in t if v in verts)
+            if len(meet) == 1 or (len(meet) == 2 and meet in edges):
+                if extend(placed | {t}, verts | set(t),
+                          edges | set(itertools.combinations(t, 2))):
+                    return True
+        dead.add(placed)
+        return False
+
+    return any(extend(frozenset([t]), set(t), set(itertools.combinations(t, 2)))
+               for t in tris)

@@ -184,5 +184,53 @@ def test_bad_kernels_exit_two_under_optimize(tmp_path):
         assert proc.stdout == ""
 
 
+BAD_GRAPH_RUNS = [["m", spec, "--graphon", "half"]
+                  for spec in ("k0", "k17", "c2", "p0", "k9,9", "beachball:1", "d:0")]
+BAD_GRAPH_RUNS.append(["expand-check", "k7", "--graphon", "half"])
+
+
+def test_bad_graphs_exit_two(capsys):
+    for argv in BAD_GRAPH_RUNS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.strip() != "error:", argv
+
+
+def test_bad_graphs_exit_two_under_optimize():
+    # catalog parameters and the expansion cap must survive python -O, which
+    # strips assert statements; one process runs every case
+    script = "\n".join([
+        "import contextlib, io",
+        "from commonality.cli import main",
+        "for argv in %r:" % BAD_GRAPH_RUNS,
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        code = main(argv)",
+        "    print(code, repr(out.getvalue()), repr(err.getvalue().strip()))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(BAD_GRAPH_RUNS)
+    for argv, line in zip(BAD_GRAPH_RUNS, lines):
+        code, out, err = line.split(" ", 2)
+        assert (code, out) == ("2", "''"), (argv, line)
+        assert err.startswith("'error: ") and err != "'error:'", (argv, line)
+
+
+def test_internal_failure_is_not_bad_input(monkeypatch):
+    # an internal invariant failure must surface as a traceback, not exit 2
+    def broken(h):
+        raise AssertionError("internal invariant")
+
+    monkeypatch.setattr("commonality.cli.find_triangle_decomposition", broken)
+    with pytest.raises(AssertionError):
+        main(["tritree", "k3"])
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0

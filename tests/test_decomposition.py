@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from commonality.graphs import Graph, catalog, pendant_attach
+from commonality.graphs import Graph, catalog, pendant_attach, relabel
 from commonality.decomposition import (
     TreeDecomposition,
     extend_with_pendant_tree,
@@ -14,6 +14,8 @@ from commonality.decomposition import (
     validate,
     validate_diagnostics,
 )
+from commonality.search import _red_graph_classes
+from oracles import is_triangle_tree
 
 
 def test_single_triangle():
@@ -55,7 +57,8 @@ def test_required_rejections():
     assert find_triangle_decomposition(catalog("k5")) is None
     assert find_triangle_decomposition(catalog("c6")) is None
     assert find_triangle_decomposition(catalog("p4")) is None
-    # these two pass the counting screens but have edges in no triangle
+    # these two have a triangle-tree's vertex and edge counts but edges in
+    # no triangle
     assert find_triangle_decomposition(catalog("h3")) is None
     assert find_triangle_decomposition(catalog("h4")) is None
 
@@ -68,19 +71,52 @@ def test_bowtie():
 
 
 def test_random_triangle_trees_recognized():
-    rng = random.Random(4242)
-    for _ in range(40):
-        bags = rng.randrange(1, 13)
-        g = random_triangle_tree(rng, bags)
-        assert g.n <= 16
+    # the flipped case relabels each tree and toggles one vertex pair, which
+    # may or may not leave a triangle-tree
+    for seed, flip in ((4242, False), (2718, True)):
+        rng = random.Random(seed)
+        accepted = 0
+        for _ in range(40):
+            bags = rng.randrange(1, 13)
+            g = random_triangle_tree(rng, bags)
+            assert g.n <= 16
+            if flip:
+                g = relabel(g, rng.sample(range(g.n), g.n))
+                u, v = sorted(rng.sample(range(g.n), 2))
+                g = Graph(g.n, set(g.edges) ^ {(u, v)})
+            rep = find_triangle_decomposition(g)
+            assert (rep is not None) == is_triangle_tree(g)
+            if rep is None:
+                continue
+            accepted += 1
+            assert rep.phi == g.e - g.n + 1
+            assert flip or rep.phi == bags
+            assert rep.kappa == 2 * g.e - 3 * g.n + 3
+            assert len(rep.decomposition.bags) == rep.phi
+            assert rep.edge_intersection_count == rep.kappa
+            assert validate(g, rep.decomposition)
+            assert is_j_decomposition(g, rep.decomposition, catalog("k3"))
+        assert 0 < accepted < 40 if flip else accepted == 40
+
+
+def test_agrees_with_gluing_orders_up_to_seven_vertices():
+    graphs = [g for n in range(1, 8) for g in _red_graph_classes(n)]
+    assert len(graphs) == 1252
+    accepted = 0
+    for g in graphs:
         rep = find_triangle_decomposition(g)
-        assert rep is not None
-        assert rep.phi == g.e - g.n + 1 == bags
-        assert rep.kappa == 2 * g.e - 3 * g.n + 3
-        assert len(rep.decomposition.bags) == rep.phi
-        assert rep.edge_intersection_count == rep.kappa
-        assert validate(g, rep.decomposition)
-        assert is_j_decomposition(g, rep.decomposition, catalog("k3"))
+        assert (rep is not None) == is_triangle_tree(g), g
+        accepted += rep is not None
+    assert accepted == 34
+
+
+def test_sixteen_vertex_tree_recognized():
+    g = random_triangle_tree(random.Random(108), 11)
+    assert (g.n, g.e) == (16, 26)
+    rep = find_triangle_decomposition(g)
+    assert (rep.phi, rep.kappa) == (11, 7)
+    assert validate(g, rep.decomposition)
+    assert is_j_decomposition(g, rep.decomposition, catalog("k3"))
 
 
 def test_validate_diagnostics():
@@ -181,7 +217,7 @@ def test_extend_random_pairs():
 def test_extend_rejects_bad_inputs():
     h = catalog("diamond")
     d = find_triangle_decomposition(h).decomposition
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         extend_with_pendant_tree(h, d, catalog("c4"), 0, 0)
     with pytest.raises(ValueError):
         extend_with_pendant_tree(h, TreeDecomposition(((0, 1, 2),), ()), catalog("k2"), 0, 0)

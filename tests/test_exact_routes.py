@@ -163,25 +163,32 @@ def test_certificate_identity_exact():
 
 
 def test_exact_guards_raise_value_error_under_optimize():
-    # every size, exactness and configuration guard, and every precondition
-    # of the inequality battery, must survive python -O, which strips assert
+    # every size, exactness and configuration guard, every precondition of
+    # the inequality battery, and every input check on graphs, decompositions
+    # and exact matrices must survive python -O, which strips assert
     # statements
     script = "\n".join([
+        "import random",
         "from fractions import Fraction",
         "from commonality.certificate import evaluate_expression",
+        "from commonality.decomposition import (extend_with_pendant_tree,",
+        "    find_triangle_decomposition, random_triangle_tree)",
         "from commonality.density import t_hom",
-        "from commonality.graphs import catalog",
+        "from commonality.exactlinalg import mat_vec, rank",
+        "from commonality.graphs import (Graph, apex_add, catalog, even_expansion,",
+        "    pendant_attach, relabel)",
         "from commonality.graphons import StepGraphon, constant_graphon, half",
         "from commonality.inequalities import (beachball_h, check_apex_chain,",
         "    check_beachball_chain, check_diamond_lemma, check_holder)",
         "from commonality.search import MinimizeConfig, grid_minimum_two_parts",
         "k2, k3 = catalog('k2'), catalog('k3')",
+        "dia = catalog('diamond')",
+        "tree = find_triangle_decomposition(dia).decomposition",
         "cases = [lambda: evaluate_expression(1, StepGraphon([[0.5]], [1.0]), exact=True),",
         "         lambda: t_hom(catalog('k5'), constant_graphon(Fraction(1, 2), k=40)),",
         "         lambda: MinimizeConfig(parts=0),",
         "         lambda: MinimizeConfig(restarts=0),",
         "         lambda: MinimizeConfig(max_iter=0),",
-        "         lambda: MinimizeConfig(box=(0.5, 0.2)),",
         "         lambda: grid_minimum_two_parts(catalog('k3'), resolution=0),",
         "         lambda: check_holder(k3, k2, k2, 3, 2, half()),",
         "         lambda: check_diamond_lemma(half(), Fraction(1, 5)),",
@@ -190,7 +197,20 @@ def test_exact_guards_raise_value_error_under_optimize():
         "         lambda: beachball_h(2, Fraction(1, 7), Fraction(1, 5)),",
         "         lambda: beachball_h(2, 0, Fraction(1, 4)),",
         "         lambda: check_beachball_chain(1, half()),",
-        "         lambda: check_apex_chain(catalog('c4'), 0, half())]",
+        "         lambda: check_apex_chain(catalog('c4'), 0, half()),",
+        "         lambda: Graph(17),",
+        "         lambda: Graph(3, [(0, 3)]),",
+        "         lambda: relabel(k3, [0, 0, 1]),",
+        "         lambda: apex_add(k3, 14),",
+        "         lambda: pendant_attach(k3, 0, dia, 0),",
+        "         lambda: pendant_attach(k2, 2, dia, 0),",
+        "         lambda: pendant_attach(catalog('p14'), 0, dia, 0),",
+        "         lambda: even_expansion(catalog('k7')),",
+        "         lambda: random_triangle_tree(random.Random(0), 0),",
+        "         lambda: random_triangle_tree(random.Random(0), 15),",
+        "         lambda: extend_with_pendant_tree(dia, tree, catalog('c4'), 0, 0),",
+        "         lambda: rank([[1, 2], [1]]),",
+        "         lambda: mat_vec([[1, 2]], [1])]",
         "for case in cases:",
         "    try:",
         "        case()",
@@ -205,5 +225,5 @@ def test_exact_guards_raise_value_error_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 15
+    assert proc.stdout.split() == ["ValueError"] * 27
 

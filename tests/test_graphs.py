@@ -243,7 +243,7 @@ def test_pendant_attach():
     p3 = catalog("p3")
     g = pendant_attach(p3, 0, d, 2)
     assert (g.n, g.e) == (6, 7)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         pendant_attach(catalog("c3"), 0, d, 0)
 
 

@@ -127,8 +127,6 @@ def test_config_validation():
         MinimizeConfig(parts=0)
     with pytest.raises(ValueError):
         MinimizeConfig(restarts=0)
-    with pytest.raises(ValueError):
-        MinimizeConfig(box=(0.5, 0.2))
 
 
 def test_minimize_triangle_hits_quarter():
@@ -212,7 +210,7 @@ def test_batched_descent_picks_the_single_start_winner():
 
 
 def test_every_restart_is_evaluated_max_iter_times(monkeypatch):
-    # no step can shrink below min_step within 7 evaluations, so each call
+    # no step can shrink below MIN_STEP within 7 evaluations, so each call
     # covers all 4 restarts and the 7th is the last
     rows = []
     real = search._m_value_gradient
