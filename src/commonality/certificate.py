@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import PAIRS5, induced_pattern_vector, m
+from .density import PAIRS5, induced_pattern_vector, integer_kernel, m
 from .exactlinalg import mat_vec, rank, solve_unique
 from .graphs import Graph, catalog
 from .graphons import StepGraphon, corner_graphons, random_suite
@@ -595,10 +595,7 @@ def _class_totals(values, weights, exact):
     if k > 8:
         raise ValueError("class totals capped at 8 parts, got %d" % k)
     if exact:
-        den = math.lcm(*(x.denominator for row in values for x in row))
-        wden = math.lcm(*(x.denominator for x in weights))
-        V = np.array([[int(x * den) for x in row] for row in values], dtype=object)
-        mu = np.array([int(x * wden) for x in weights], dtype=object)
+        V, mu, den, wden = integer_kernel(values, weights)
     else:
         den = 1.0
         V = np.array(values, dtype=np.float64)
@@ -632,7 +629,7 @@ class CrossValidationReport:
 
 
 def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
-                           tolerance=1e-8) -> CrossValidationReport:
+                           tolerance=1e-8, totals=None) -> CrossValidationReport:
     """Evaluate every expression along two independent numeric routes.
 
     Route one expands each expression over labelled pattern coefficients
@@ -640,7 +637,9 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
     shipped class coordinates with the multiset class totals.  The five
     density-excess expressions get a third route through plain subgraph
     densities.  All routes must agree to within the tolerance on every
-    graphon of the suite.
+    graphon of the suite.  totals, when given, are the suite's
+    class_density_totals in suite order, so a caller that already has them
+    does not enumerate them again.
     """
     if cert is None:
         cert = load_certificate()
@@ -654,15 +653,16 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
                      "vA": ("h3", 480), "vB": ("h4", 960)}
     route_gap = 0.0
     direct_gap = 0.0
-    for w in suite:
+    if totals is None:
+        totals = [class_density_totals(w) for w in suite]
+    for w, tot in zip(suite, totals):
         vals = _float_coefficient_matrix() @ induced_pattern_vector(w)
-        totals = class_density_totals(w)
         for pos, key in enumerate(EXPRESSION_KEYS):
             # class coordinates are means of a vector that is not constant
             # per class, but pattern densities are, so coordinate @ totals
             # reproduces the functional
             cvec = np.array(coords[key], dtype=float)
-            route_gap = max(route_gap, abs(vals[pos] - float(cvec @ totals)))
+            route_gap = max(route_gap, abs(vals[pos] - float(cvec @ tot)))
         for key, (gname, pref) in excess_graphs.items():
             g = catalog(gname)
             direct = pref * (m(g, w) - 2.0 ** (1 - g.e))
@@ -741,14 +741,16 @@ def conclude_commonality(cert=None, count=60, seed=2026,
     identity_gap = 0.0
     pos_a = EXPRESSION_KEYS.index("vA")
     pos_b = EXPRESSION_KEYS.index("vB")
-    for w in suite:
-        vals = evaluate_all_expressions(w)
+    # one class enumeration per kernel, shared with the cross-validation
+    totals = [class_density_totals(w) for w in suite]
+    for tot in totals:
+        vals = _float_class_means() @ tot
         column_floor = min(column_floor, float(vals[:16].min()))
         floor_a = min(floor_a, float(vals[pos_a]))
         floor_b = min(floor_b, float(vals[pos_b]))
         identity_gap = max(identity_gap, abs(float(vals[keep_a] @ wa) - float(vals[pos_a])))
         identity_gap = max(identity_gap, abs(float(vals[keep_b] @ wb) - float(vals[pos_b])))
-    crossval = cross_validate_columns(cert, suite=suite)
+    crossval = cross_validate_columns(cert, suite=suite, totals=totals)
     return CertificateConclusion(
         derivation_mismatches=mismatches,
         linalg=lin,

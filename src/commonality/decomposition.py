@@ -80,8 +80,10 @@ def _reachable(adj, start, allowed):
 
 def validate_diagnostics(h: Graph, d: TreeDecomposition):
     """All tree-decomposition axiom failures, as human-readable strings."""
-    problems = []
     nb = len(d.bags)
+    if not nb:
+        return ["decomposition has no bags"]
+    problems = []
     for i, bag in enumerate(d.bags):
         if not bag:
             problems.append(f"bag {i} is empty")

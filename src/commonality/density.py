@@ -7,13 +7,15 @@ count.  Each (graph, part count) is compiled once into a cached plan of
 elimination steps.  The batched functions pack each part-count group of
 their input once into float arrays and take the complement 1 - w and the
 signed kernel 2w - 1 on those arrays, without building kernel objects.
-A single kernel (t_hom, t_signed and so m) is a batch of one through the
-same elimination: in float64 for float kernels and in object arrays of
-Fractions for exact ones, where a density costs k^(width+1) Fraction
-operations per eliminated vertex rather than one term per assignment.
-Those single-kernel densities are cached on (graph, values, weights,
-exactness), so a battery that asks for the same density of one kernel many
-times contracts it once.
+A single kernel is a batch of two through the same elimination: w and
+1 - w together, so t_hom, t_complement and m read one contraction, and
+t_signed is a batch of one.  Float kernels contract in float64.  Exact
+kernels contract in Python integers over common denominators, values
+p/D and weights q/E, and divide once at the end, so a density costs
+k^(width+1) integer operations per eliminated vertex and one gcd.  Those
+single-kernel densities are cached on (graph, values, weights, exactness),
+so a battery that asks for the same density of one kernel many times
+contracts it once.
 The plan also runs backwards on float batches: each step's vector-Jacobian
 product gives the gradients of its inputs and of the part weights, so the
 minimizer's partials need no enumeration of assignments either.
@@ -21,6 +23,7 @@ minimizer's partials need no enumeration of assignments either.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -165,32 +168,58 @@ def _packed(kernels):
         yield idxs, V.reshape(-1, k, k), mu.reshape(-1, k)
 
 
+def integer_kernel(values, weights):
+    """An exact kernel over common denominators: (P, q, D, E), where D and E
+    are the lcms of the value and weight denominators and P = values * D,
+    q = weights * E are Python-int object arrays."""
+    D = math.lcm(*(x.denominator for row in values for x in row))
+    E = math.lcm(*(x.denominator for x in weights))
+    P = np.array([[x.numerator * (D // x.denominator) for x in row] for row in values],
+                 dtype=object)
+    q = np.array([x.numerator * (E // x.denominator) for x in weights], dtype=object)
+    return P, q, D, E
+
+
 @lru_cache(maxsize=256)
-def _t_one(g: Graph, values, weights, exact: bool):
-    """Density of g in one kernel given by its value and weight tuples: a
-    batch of one through _t_batch, in Fraction object arrays when exact and
-    float64 otherwise.  exact is part of the key because Fraction(1, 2) and
-    0.5 compare and hash equal.  256 entries hold the at most 63 distinct
-    densities the inequality battery asks of one kernel four times over."""
+def _densities(g: Graph, values, weights, exact: bool, pair: bool):
+    """Density of g in one kernel given by its value and weight tuples, and
+    when pair is set in 1 - kernel as well: a tuple of one or two values
+    from one _t_batch call.  Exact kernels contract P and D - P against q
+    in integers and divide by D^e E^v once, v counting the vertices the
+    plan eliminates (isolated ones contribute 1).  exact is part of the
+    key because Fraction(1, 2) and 0.5 compare and hash equal.  256
+    entries hold the 33 contractions the inequality battery makes per
+    kernel seven times over."""
+    k = len(weights)
     if exact:
-        k = len(weights)
-        width = _plan(g, k)[1]
+        steps, width = _plan(g, k)
         if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
             raise ValueError("exact evaluation too large: %d parts at elimination width %d"
                              % (k, width))
-    dtype = object if exact else np.float64
-    t = _t_batch(g, np.array([values], dtype=dtype), np.array([weights], dtype=dtype))[0]
-    return Fraction(t) if exact else float(t)
+        V, mu, D, E = integer_kernel(values, weights)
+    else:
+        V, mu, D = np.array(values, dtype=np.float64), np.array(weights, dtype=np.float64), 1.0
+    batch = np.stack([V, D - V]) if pair else V[None]
+    t = _t_batch(g, batch, np.stack([mu] * len(batch)))
+    if exact:
+        scale = D ** g.e * E ** len(steps)
+        return tuple(Fraction(x, scale) for x in t)
+    return tuple(t.tolist())
 
 
 def t_hom(g: Graph, w: StepGraphon):
     """Homomorphism density t_g(w).  Exact kernels give Fraction results."""
-    return _t_one(g, w.values, w.weights, w.exact)
+    return _densities(g, w.values, w.weights, w.exact, True)[0]
+
+
+def t_complement(g: Graph, w: StepGraphon):
+    """t_g(1 - w), from the same contraction as t_hom, without building 1 - w."""
+    return _densities(g, w.values, w.weights, w.exact, True)[1]
 
 
 def t_signed(g: Graph, u: SignedStepGraphon):
     """Same contraction against a [-1,1]-valued kernel; empty graph gives 1."""
-    return _t_one(g, u.values, u.weights, u.exact)
+    return _densities(g, u.values, u.weights, u.exact, False)[0]
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
@@ -206,7 +235,8 @@ def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
 
 def m(g: Graph, w: StepGraphon):
     """Monochromatic density: t_g(w) + t_g(1 - w)."""
-    return t_hom(g, w) + t_hom(g, w.one_minus())
+    t, tbar = _densities(g, w.values, w.weights, w.exact, True)
+    return t + tbar
 
 
 def m_many(g: Graph, graphons) -> np.ndarray:

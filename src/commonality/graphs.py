@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 MAX_VERTICES = 16
 
@@ -466,8 +466,17 @@ _FIXED = {
 
 def catalog(name: str) -> Graph:
     """Named graphs.  Lowercase ids: k5, k2,3, k1,2,2, c6, p4, diamond,
-    k3plus, chair, k2,3-e, d:2, beachball:3, h1..h4, jst."""
-    key = name.strip().lower()
+    k3plus, chair, k2,3-e, d:2, beachball:3, h1..h4, jst.  Graphs are
+    immutable, so each normalized name is built once; a bad name raises
+    on every call."""
+    try:
+        return _catalog(name.strip().lower())
+    except KeyError:
+        raise KeyError(f"unknown catalog graph: {name!r}") from None
+
+
+@cache
+def _catalog(key: str) -> Graph:
     if key in _FIXED:
         return _FIXED[key]
     m = re.fullmatch(r"k(\d+)", key)
@@ -500,7 +509,7 @@ def catalog(name: str) -> Graph:
         if not 2 <= k <= (MAX_VERTICES - 2) // 2:
             raise ValueError(f"beachball:{k} needs 2 <= k <= {(MAX_VERTICES - 2) // 2}")
         return apex_add(_cycle(2 * k), 2)
-    raise KeyError(f"unknown catalog graph: {name!r}")
+    raise KeyError(key)
 
 
 def catalog_names():

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .decomposition import find_triangle_decomposition
-from .density import m, t_hom, t_signed
+from .density import m, t_complement, t_hom, t_signed
 from .graphs import (
     Graph,
     apex_add,
@@ -103,8 +103,8 @@ def check_holder(h: Graph, j: Graph, f: Graph, k: int, l: int, w: StepGraphon,
     if not l >= k >= 1:
         raise ValueError("exponents must satisfy l >= k >= 1")
     name = name or f"holder[k={k},l={l}]"
-    for side, wk in (("", w), ("complement", w.one_minus())):
-        th, tj, tf = t_hom(h, wk), t_hom(j, wk), t_hom(f, wk)
+    for side, dens in (("", t_hom), ("complement", t_complement)):
+        th, tj, tf = dens(h, w), dens(j, w), dens(f, w)
         # multiplicative form avoids dividing by a vanishing t_f
         lhs, rhs = th * tf ** (k - 1), tj ** l
         if not _ge("hyp", lhs, rhs, tol=tol).holds:
@@ -158,10 +158,10 @@ def check_addtree_bound(t: Graph, u: int, h: Graph, v: int, w: StepGraphon,
     glued = pendant_attach(t, u, h, v)
     k3, k2 = catalog("k3"), catalog("k2")
     out = []
-    for side, wk in (("density", w), ("density-complement", w.one_minus())):
-        tg = t_hom(glued, wk)
-        te = t_hom(k2, wk)
-        tt = t_hom(k3, wk)
+    for side, dens in (("density", t_hom), ("density-complement", t_complement)):
+        tg = dens(glued, w)
+        te = dens(k2, w)
+        tt = dens(k3, w)
         name = f"addtree:{side}"
         if te <= 0:
             out.append(_ge(name, tg * te ** (rep.kappa - t.e), tt ** rep.phi, w, tol,

@@ -141,6 +141,17 @@ def test_validate_diagnostics():
     assert any("subtree" in p for p in probs)
 
 
+def test_decomposition_without_bags_is_invalid():
+    empty = TreeDecomposition((), ())
+    for g in (Graph(0), catalog("k3")):
+        assert validate_diagnostics(g, empty) == ["decomposition has no bags"]
+        assert not validate(g, empty)
+        with pytest.raises(ValueError, match="no bags"):
+            is_j_decomposition(g, empty, catalog("k3"))
+        with pytest.raises(ValueError, match="no bags"):
+            extend_with_pendant_tree(g, empty, catalog("k2"), 0, 0)
+
+
 def test_is_j_decomposition_rejects_wrong_bags():
     g = catalog("diamond")
     d = TreeDecomposition(((0, 1, 2), (0, 1, 3)), ((0, 1),))

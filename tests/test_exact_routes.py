@@ -20,7 +20,7 @@ from commonality.certificate import (
     load_certificate,
 )
 from commonality import density
-from commonality.density import expansion_value, m, t_hom, t_signed
+from commonality.density import expansion_value, m, t_complement, t_hom, t_signed
 from commonality.graphs import Graph, catalog, catalog_all
 from commonality.graphons import StepGraphon, corner_graphons, half
 from oracles import induced_pattern_vector_exact
@@ -49,12 +49,12 @@ def enumerated_density(g: Graph, values, weights) -> Fraction:
 
 
 @st.composite
-def rational_kernels(draw, max_parts=3):
-    k = draw(st.integers(1, max_parts))
+def rational_kernels(draw, min_parts=1, max_parts=3, min_raw=0):
+    k = draw(st.integers(min_parts, max_parts))
     entry = st.fractions(min_value=0, max_value=1, max_denominator=12)
     upper = {(i, j): draw(entry) for i in range(k) for j in range(i, k)}
     values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
-    raw = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+    raw = draw(st.lists(st.integers(min_raw, 5), min_size=k, max_size=k).filter(any))
     return StepGraphon(values, [Fraction(x, sum(raw)) for x in raw])
 
 
@@ -88,6 +88,28 @@ def test_exact_densities_match_enumeration(w, g):
     assert got == enumerated_density(g, u.values, u.weights)
 
 
+@EXACT
+@given(rational_kernels(min_parts=2, min_raw=1), small_graphs())
+@example(StepGraphon([[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 5), 1]],
+                     [Fraction(1, 3), Fraction(2, 3)]),
+         Graph(5, [(0, 1), (1, 2)]))
+@example(StepGraphon([[Fraction(3, 97), Fraction(50, 101), 1],
+                      [Fraction(50, 101), Fraction(96, 97), 0],
+                      [1, 0, Fraction(1, 2)]],
+                     [Fraction(1, 97), Fraction(1, 101), 1 - Fraction(1, 97) - Fraction(1, 101)]),
+         Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+def test_complement_route_matches_enumeration(w, g):
+    # at least two positive weights, so the weight denominators' lcm E
+    # exceeds 1 and a wrong power of E (isolated vertices counted) shows
+    tbar = t_complement(g, w)
+    assert type(tbar) is Fraction
+    assert tbar == t_hom(g, w.one_minus())
+    assert m(g, w) == t_hom(g, w) + tbar
+    wbar = w.one_minus()
+    assert tbar == enumerated_density(g, wbar.values, wbar.weights)
+    assert m(g, w) == enumerated_density(g, w.values, w.weights) + tbar
+
+
 @settings(EXACT, max_examples=4)
 @given(rational_kernels())
 def test_class_total_route_matches_pattern_sum(w):
@@ -113,14 +135,14 @@ def test_density_cache_keeps_exact_and_float_apart():
     # kernel's tuples alone would hand one route's result to the other
     exact, flt = half(), StepGraphon([[0.5]])
     for order in ((exact, flt), (flt, exact)):
-        density._t_one.cache_clear()
+        density._densities.cache_clear()
         for w in order:
             for g in (catalog("k3"), catalog("c4")):
                 want = Fraction if w.exact else float
-                got = [t_hom(g, w), t_signed(g, w.signed()), m(g, w)]
-                assert [type(x) for x in got] == [want] * 3
+                got = [t_hom(g, w), t_signed(g, w.signed()), m(g, w), t_complement(g, w)]
+                assert [type(x) for x in got] == [want] * 4
                 assert got == [Fraction(1, 8) if g.e == 3 else Fraction(1, 16),
-                               0, 2 * Fraction(1, 2) ** g.e]
+                               0, 2 * Fraction(1, 2) ** g.e, Fraction(1, 2) ** g.e]
 
 
 SMALL_CATALOG = [name for name, g in catalog_all() if g.e <= 8]
