@@ -11,16 +11,17 @@ labelled points, modulo relabelling and colour swap.
 
 This module rederives the whole coordinate table from scratch: the 18
 classes are enumerated as orbits of the 1024 labelled patterns, each
-expression is expanded into its 1024 pattern coefficients with Fraction
-arithmetic, class means are compared entry by entry against the shipped
-table, and the weight vectors are recomputed by exact Gaussian
-elimination.  A functional is evaluated at a concrete step graphon as its
-class means dotted with the 18 class totals.  One enumerator computes the
-totals for both routes: it sums over sorted assignments of parts to the
-five points (the totals do not change under relabelling), in float64 for
-float graphons and in integer arithmetic over common denominators for
-exact ones.  The full 1024-pattern vector over all k^5 assignments is kept
-only as the independent route of cross_validate_columns.
+expression is expanded into its 1024 pattern coefficients, all integers,
+as one row of one coefficient matrix; the class means form one integer
+18x18 matrix, compared entry by entry against the shipped table, and the
+weight vectors are recomputed by exact Gaussian elimination.  A
+functional is evaluated at a concrete step graphon as its row of class
+means dotted with the 18 class totals.  One enumerator computes the totals
+for both routes: it sums over sorted assignments of parts to the five
+points (the totals do not change under relabelling), in float64 for float
+graphons and in integer arithmetic over common denominators for exact
+ones.  The full 1024-pattern vector over all k^5 assignments is kept only
+as the independent route of cross_validate_columns.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -227,11 +228,13 @@ def _excess_expression(name: str, pref: int):
     g = catalog(name)
     assert g.n == 5
     em = _edges_to_mask(g.edges)
-    floor = Fraction(1, 1 << (g.e - 1))
+    # the prefactor clears the two-colour floor 2^(1-e)
+    floor = pref // 2 ** (g.e - 1)
+    assert floor * 2 ** (g.e - 1) == pref, "%d*excess(%s) has a fractional floor" % (pref, name)
 
-    def F(mask: int) -> Fraction:
+    def F(mask: int) -> int:
         hits = (1 if mask & em == em else 0) + (1 if (FULL_MASK ^ mask) & em == em else 0)
-        return pref * (hits - floor)
+        return pref * hits - floor
 
     return F
 
@@ -244,8 +247,8 @@ def _triple_square(pref: int, weight, lin):
             return 0
         return w * lin(a, 3) * lin(a, 4)
 
-    def F(mask: int) -> Fraction:
-        return Fraction(pref * (raw(mask) + raw(FULL_MASK ^ mask)))
+    def F(mask: int) -> int:
+        return pref * (raw(mask) + raw(FULL_MASK ^ mask))
 
     return F
 
@@ -291,37 +294,16 @@ def _pair_avoid_sym_square(mask: int) -> int:
 
 
 EXPRESSION_KEYS = tuple(range(1, 17)) + ("vA", "vB")
+_ROW = {key: pos for pos, key in enumerate(EXPRESSION_KEYS)}
 
-EXPRESSION_LABELS = {
-    1: "480*excess(h1)",
-    2: "480*excess(h2)",
-    3: "48*excess(c5)",
-    4: "10*sq[empty-triple](all-minus-none)",
-    5: "10*sq[empty-triple](8*none-1)",
-    6: "30*sq[one-edge-triple](signed-endpoint-diff 5,2)",
-    7: "30*sq[one-edge-triple](signed-endpoint-diff 2,-5)",
-    8: "30*sq[one-edge-triple](all-minus-none)",
-    9: "30*sq[one-edge-triple](rootonly-minus-none)",
-    10: "30*sq[one-edge-triple](paironly-minus-none)",
-    11: "30*sq[one-edge-triple](oneof-offroot-minus-2*none)",
-    12: "30*sq[one-edge-triple](oneof-onroot-minus-2*none)",
-    13: "15*sq[point](edge-sign*both-or-neither)",
-    14: "15*sq[edge-pair](left-minus-right)",
-    15: "15*sq[point](four-signs)",
-    16: "30*sq[edge-pair](avoid*oneof-sign^2)",
-    "vA": "480*excess(h3)",
-    "vB": "960*excess(h4)",
-}
+# The five density-excess expressions: key -> (graph, prefactor), each
+# standing for prefactor * (m(graph) - 2^(1 - e(graph))).
+EXCESS = {1: ("h1", 480), 2: ("h2", 480), 3: ("c5", 48), "vA": ("h3", 480), "vB": ("h4", 960)}
 
 
-@lru_cache(maxsize=32)
 def _expression_function(key):
-    if key == 1:
-        return _excess_expression("h1", 480)
-    if key == 2:
-        return _excess_expression("h2", 480)
-    if key == 3:
-        return _excess_expression("c5", 48)
+    if key in EXCESS:
+        return _excess_expression(*EXCESS[key])
     if key == 4:
         return _triple_square(10, _w_triple_empty, lambda a, x: _cap(a, x) - _nothing(a, x))
     if key == 5:
@@ -343,52 +325,58 @@ def _expression_function(key):
         return _triple_square(30, _w_triple_edge,
                               lambda a, x: _sym_on_root(a, x) - 2 * _nothing(a, x))
     if key == 13:
-        return lambda mask: Fraction(15 * _kernel_square(mask))
+        return lambda mask: 15 * _kernel_square(mask)
     if key == 14:
-        return lambda mask: Fraction(
-            15 * (_pair_difference_square(mask) + _pair_difference_square(FULL_MASK ^ mask)))
+        return lambda mask: 15 * (_pair_difference_square(mask)
+                                  + _pair_difference_square(FULL_MASK ^ mask))
     if key == 15:
-        return lambda mask: Fraction(15 * _sign_product(mask))
+        return lambda mask: 15 * _sign_product(mask)
     if key == 16:
-        return lambda mask: Fraction(
-            30 * (_pair_avoid_sym_square(mask) + _pair_avoid_sym_square(FULL_MASK ^ mask)))
-    if key == "vA":
-        return _excess_expression("h3", 480)
-    if key == "vB":
-        return _excess_expression("h4", 960)
+        return lambda mask: 30 * (_pair_avoid_sym_square(mask)
+                                  + _pair_avoid_sym_square(FULL_MASK ^ mask))
     raise KeyError("unknown expression key %r" % (key,))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
+def _coefficient_matrix():
+    # int64, one row of 1024 labelled-pattern coefficients per expression
+    return np.array([[F(mask) for mask in range(1 << 10)]
+                     for F in map(_expression_function, EXPRESSION_KEYS)], dtype=np.int64)
+
+
 def coefficient_vector(key):
-    """The 1024 labelled-pattern coefficients of one expression, exact."""
-    F = _expression_function(key)
-    return tuple(F(mask) for mask in range(1 << 10))
+    """The 1024 labelled-pattern coefficients of one expression, as ints."""
+    return tuple(_coefficient_matrix()[_ROW[key]].tolist())
 
 
 @lru_cache(maxsize=1)
 def _float_coefficient_matrix():
-    rows = [[float(c) for c in coefficient_vector(key)] for key in EXPRESSION_KEYS]
-    return np.array(rows)
+    return _coefficient_matrix().astype(np.float64)
 
 
-@lru_cache(maxsize=32)
-def _class_means(key):
-    """Exact means of the pattern coefficients of one expression over each class."""
-    coeffs = coefficient_vector(key)
-    return tuple(Fraction(sum(coeffs[pm] for pm in cls.labelled_masks), cls.size)
-                 for cls in enumerate_partition_classes())
+@lru_cache(maxsize=1)
+def _class_index_arrays():
+    return [np.array(cls.labelled_masks, dtype=np.int64)
+            for cls in enumerate_partition_classes()]
+
+
+@lru_cache(maxsize=1)
+def _class_mean_matrix():
+    # integer means of the pattern coefficients, row per expression and
+    # column per class
+    coeffs = _coefficient_matrix()
+    index = _class_index_arrays()
+    sums = np.stack([coeffs[:, idx].sum(axis=1) for idx in index], axis=1)
+    means, rest = np.divmod(sums, [len(idx) for idx in index])
+    assert not rest.any(), "non-integer class means at (expression row, class column) %s" \
+        % np.argwhere(rest).tolist()
+    return means
 
 
 @lru_cache(maxsize=32)
 def derived_coordinates(key):
-    """Class-mean coordinates of one expression; asserts they are integers."""
-    out = []
-    for cls, mean in zip(enumerate_partition_classes(), _class_means(key)):
-        assert mean.denominator == 1, \
-            "expression %r has non-integer coordinate %s on class %d" % (key, mean, cls.index)
-        out.append(int(mean))
-    return tuple(out)
+    """Class-mean coordinates of one expression, as ints."""
+    return tuple(_class_mean_matrix()[_ROW[key]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +529,13 @@ def evaluate_expression(key, w: StepGraphon, exact=None):
         exact = w.exact and w.k <= 5
     if exact:
         totals = class_density_totals_exact(w)
-        return sum(mean * t for mean, t in zip(_class_means(key), totals))
-    return float(evaluate_all_expressions(w)[EXPRESSION_KEYS.index(key)])
+        return sum(c * t for c, t in zip(derived_coordinates(key), totals))
+    return float(evaluate_all_expressions(w)[_ROW[key]])
 
 
 def evaluate_all_expressions(w: StepGraphon):
     """Float values of all 18 expressions at once, in EXPRESSION_KEYS order."""
-    return _float_class_means() @ class_density_totals(w)
-
-
-@lru_cache(maxsize=1)
-def _class_index_arrays():
-    return [np.array(cls.labelled_masks, dtype=np.int64)
-            for cls in enumerate_partition_classes()]
-
-
-@lru_cache(maxsize=1)
-def _float_class_means():
-    # row per expression, column per class
-    coeffs = _float_coefficient_matrix()
-    return np.stack([coeffs[:, idx].mean(axis=1) for idx in _class_index_arrays()], axis=1)
+    return _class_mean_matrix().astype(np.float64) @ class_density_totals(w)
 
 
 def class_density_totals(w: StepGraphon):
@@ -649,8 +624,6 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
               for key in range(1, 17)}
     coords["vA"] = cert.target_a
     coords["vB"] = cert.target_b
-    excess_graphs = {1: ("h1", 480), 2: ("h2", 480), 3: ("c5", 48),
-                     "vA": ("h3", 480), "vB": ("h4", 960)}
     route_gap = 0.0
     direct_gap = 0.0
     if totals is None:
@@ -663,11 +636,10 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
             # reproduces the functional
             cvec = np.array(coords[key], dtype=float)
             route_gap = max(route_gap, abs(vals[pos] - float(cvec @ tot)))
-        for key, (gname, pref) in excess_graphs.items():
+        for key, (gname, pref) in EXCESS.items():
             g = catalog(gname)
             direct = pref * (m(g, w) - 2.0 ** (1 - g.e))
-            pos = EXPRESSION_KEYS.index(key)
-            direct_gap = max(direct_gap, abs(vals[pos] - direct))
+            direct_gap = max(direct_gap, abs(vals[_ROW[key]] - direct))
     return CrossValidationReport(count=len(suite), route_gap=route_gap,
                                  direct_gap=direct_gap, tolerance=tolerance)
 
@@ -739,12 +711,13 @@ def conclude_commonality(cert=None, count=60, seed=2026,
     floor_a = float("inf")
     floor_b = float("inf")
     identity_gap = 0.0
-    pos_a = EXPRESSION_KEYS.index("vA")
-    pos_b = EXPRESSION_KEYS.index("vB")
+    pos_a = _ROW["vA"]
+    pos_b = _ROW["vB"]
     # one class enumeration per kernel, shared with the cross-validation
     totals = [class_density_totals(w) for w in suite]
+    means = _class_mean_matrix().astype(np.float64)
     for tot in totals:
-        vals = _float_class_means() @ tot
+        vals = means @ tot
         column_floor = min(column_floor, float(vals[:16].min()))
         floor_a = min(floor_a, float(vals[pos_a]))
         floor_b = min(floor_b, float(vals[pos_b]))

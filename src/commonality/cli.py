@@ -178,50 +178,53 @@ def _cmd_catalog(args) -> int:
 # parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--exact", action="store_true",
-                        help="rational arithmetic; needs fraction-valued inputs")
-    shared.add_argument("--tolerance", type=float, default=1e-9)
-    shared.add_argument("--seed", type=int, default=2026)
+    # each verb takes only the shared flags its handler reads
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--exact", action="store_true",
+                       help="rational arithmetic; needs fraction-valued inputs")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=1e-9)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=2026)
 
     parser = argparse.ArgumentParser(
         prog="commonality",
         description="monochromatic density toolkit over step kernels")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("density", parents=[shared], help="homomorphism density t")
+    p = sub.add_parser("density", parents=[exact], help="homomorphism density t")
     p.add_argument("graph")
     p.add_argument("--graphon", required=True)
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("m", parents=[shared], help="monochromatic density t + t-complement")
+    p = sub.add_parser("m", parents=[exact], help="monochromatic density t + t-complement")
     p.add_argument("graph")
     p.add_argument("--graphon", required=True)
     p.set_defaults(func=_cmd_m)
 
-    p = sub.add_parser("expand-check", parents=[shared],
+    p = sub.add_parser("expand-check", parents=[exact, tolerance],
                        help="m against its even-subset expansion")
     p.add_argument("graph")
     p.add_argument("--graphon", required=True)
     p.set_defaults(func=_cmd_expand_check)
 
-    p = sub.add_parser("tritree", parents=[shared], help="triangle-tree recognition")
+    p = sub.add_parser("tritree", help="triangle-tree recognition")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_tritree)
 
-    p = sub.add_parser("inequalities", parents=[shared], help="inequality battery")
+    p = sub.add_parser("inequalities", parents=[exact, tolerance, seed], help="inequality battery")
     p.add_argument("--graphon", help="single kernel; default is a random suite")
     p.add_argument("--suite", type=int, default=12, help="random kernels to sweep")
     p.set_defaults(func=_cmd_inequalities)
 
-    p = sub.add_parser("verify-certificate", parents=[shared],
+    p = sub.add_parser("verify-certificate", parents=[tolerance, seed],
                        help="exact certificate tables plus numeric spot checks")
     p.add_argument("path", nargs="?", help="table file; packaged tables by default")
     p.add_argument("--sums", help="checksum file; <path>.sums by default")
     p.add_argument("--suite", type=int, default=60)
     p.set_defaults(func=_cmd_verify_certificate)
 
-    p = sub.add_parser("minimize", parents=[shared], help="search for low m kernels")
+    p = sub.add_parser("minimize", parents=[seed], help="search for low m kernels")
     p.add_argument("graph")
     p.add_argument("--parts", type=int, default=3)
     p.add_argument("--restarts", type=int, default=16)
@@ -229,13 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize-weights", action="store_true")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("ramsey", parents=[shared],
+    p = sub.add_parser("ramsey", parents=[exact],
                        help="exact minimum monochromatic copies at n points")
     p.add_argument("graph")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_ramsey)
 
-    p = sub.add_parser("catalog", parents=[shared], help="named graphs")
+    p = sub.add_parser("catalog", help="named graphs")
     p.set_defaults(func=_cmd_catalog)
     return parser
 

@@ -1,8 +1,9 @@
 """Reference oracles that enumerate every assignment of parts to sample
-points, every colouring of a complete graph, or every gluing order of a
-graph's triangles, directly.  They share no code with the package's
-multiset, elimination, colouring-class and leaf-peeling routes, and are
-meant for small part and point counts."""
+points, every colouring of a complete graph, every relabelling of a graph,
+or every gluing order of a graph's triangles, directly.  They share no
+code with the package's multiset, elimination, colouring-class,
+refinement and leaf-peeling routes, and are meant for small part and
+point counts."""
 import itertools
 from fractions import Fraction
 
@@ -47,6 +48,25 @@ def induced_pattern_vector_exact(w: StepGraphon):
         for mask in range(1024):
             out[mask] += weight * vals[mask]
     return out
+
+
+def canonical_brute(g: Graph):
+    """(n, best edge code) over all n! relabellings of g: the code of an
+    order lists, pair by pair in lexicographic order, whether the vertices
+    placed at those two positions are adjacent, first pair most significant.
+    Two graphs are isomorphic exactly when their results agree."""
+    n = g.n
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return n, 0
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    first, second = np.array(pairs, dtype=np.int64).T
+    bits = adj[orders[:, first], orders[:, second]]
+    place = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    return n, int((bits @ place).max())
 
 
 def ramsey_brute(h: Graph, n: int) -> int:

@@ -14,6 +14,7 @@ from commonality.certificate import (
     check_derivation,
     class_density_totals,
     class_of_mask,
+    coefficient_vector,
     conclude_commonality,
     cross_validate_columns,
     data_path,
@@ -68,6 +69,9 @@ def test_class_assignment_is_complement_invariant():
 def test_derivation_matches_shipped_tables():
     # every one of the 18*16 + 2*18 coordinates, exactly
     assert check_derivation(load_certificate()) == []
+    # the pattern coefficients and class means are plain integers
+    for key in EXPRESSION_KEYS:
+        assert {type(c) for c in coefficient_vector(key) + derived_coordinates(key)} == {int}
 
 
 def test_target_vector_frozen():
@@ -118,7 +122,8 @@ def test_linear_algebra_notices_wrong_weights():
 def test_everything_vanishes_at_half():
     # the whole certificate is tight at the all-half graphon
     for key in EXPRESSION_KEYS:
-        assert evaluate_expression(key, half(), exact=True) == 0
+        value = evaluate_expression(key, half(), exact=True)
+        assert isinstance(value, F) and value == 0
 
 
 def test_squares_six_and_seven_vanish_on_constants():

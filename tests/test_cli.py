@@ -166,6 +166,10 @@ def test_parse_errors_exit_two(capsys):
     assert run(capsys, "density", "k3", "--graphon", "random:2:5", "--exact")[0] == 2
     assert run(capsys, "ramsey", "k3", "9")[0] == 2
     assert run(capsys, "nosuchverb")[0] == 2
+    # a shared flag that the verb does not read is rejected, not ignored
+    assert run(capsys, "verify-certificate", "--exact")[0] == 2
+    assert run(capsys, "minimize", "k3", "--exact")[0] == 2
+    assert run(capsys, "tritree", "jst", "--seed", "1")[0] == 2
 
 
 def test_bad_kernels_exit_two_under_optimize(tmp_path):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commonality.graphs import (
     Graph,
@@ -27,6 +29,7 @@ from commonality.graphs import (
     relabel,
     triangles,
 )
+from oracles import canonical_brute
 
 
 def test_basic_counts():
@@ -284,3 +287,35 @@ def test_canonical_handles_larger_graphs():
     perm = list(range(n))
     rng.shuffle(perm)
     assert canonical_form(relabel(base, perm)) == canonical_form(base)
+
+
+@st.composite
+def graph_pairs(draw):
+    # a graph on 4 to 7 vertices and a relabelling of it, after which up to
+    # two degree-preserving switches (uv, xy -> ux, vy) follow, so the pair is
+    # isomorphic or at least shares its degree sequence
+    n = draw(st.integers(4, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    a = Graph(n, [p for p, bit in zip(pairs, bits) if bit])
+    b = relabel(a, draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 2))):
+        arcs = list(b.edges) + [(v, u) for u, v in b.edges]
+        switches = [(u, v, x, y) for (u, v), (x, y) in itertools.permutations(arcs, 2)
+                    if len({u, v, x, y}) == 4 and not b.has_edge(u, x) and not b.has_edge(v, y)]
+        if not switches:
+            break
+        u, v, x, y = draw(st.sampled_from(switches))
+        kept = [e for e in b.edges if set(e) not in ({u, v}, {x, y})]
+        b = Graph(n, kept + [(u, x), (v, y)])
+    return a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(graph_pairs())
+@example((catalog("c6"), disjoint_union(catalog("k3"), catalog("k3"))))
+@example((catalog("c5"), complement(catalog("c5"))))
+def test_canonical_form_matches_brute_oracle(pair):
+    a, b = pair
+    assert (canonical_form(a) == canonical_form(b)) == (canonical_brute(a) == canonical_brute(b))
+    assert canonical_brute(canonical_form(a)) == canonical_brute(a)
