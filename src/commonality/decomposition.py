@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (Graph, canonical_form, catalog, induced_subgraph, is_connected, is_tree,
                      parse_prelude, pendant_map)
@@ -170,10 +171,12 @@ class TriangleTreeReport:
     edge_intersection_count: int
 
 
+@lru_cache(maxsize=64)
 def find_triangle_decomposition(h: Graph):
     """Recognize a graph glued from triangles by greedy leaf peeling; returns
     a TriangleTreeReport with a decomposition passing validate and
-    is_j_decomposition, or None."""
+    is_j_decomposition, or None.  Cached: the inequality battery asks it of
+    the same few catalog graphs for every kernel, and the report is frozen."""
     if not is_connected(h):
         return None
     adj = {v: set() for v in range(h.n)}

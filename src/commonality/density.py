@@ -4,9 +4,13 @@ Homomorphism densities are evaluated by variable elimination: each edge is a
 factor on two vertex variables, vertices are summed out in a low-fill order,
 and everything is vectorized over a batch of kernels with the same part
 count.  Each (graph, part count) is compiled once into a cached plan of
-elimination steps.  The batched functions pack each part-count group of
-their input once into float arrays and take the complement 1 - w and the
-signed kernel 2w - 1 on those arrays, without building kernel objects.
+elimination steps, with the batch as the last axis of every array: a
+contraction copies its (B, k, k) batch once into a contiguous (k, k, B)
+array, so every broadcast product and every sum runs its innermost loop
+over the B kernels rather than over a vertex axis of length k.  The
+batched functions pack each part-count group of their input once into
+float arrays and take the complement 1 - w and the signed kernel 2w - 1 on
+those arrays, without building kernel objects.
 A single kernel is a batch of two through the same elimination: w and
 1 - w together, so t_hom, t_complement and m read one contraction, and
 t_signed is a batch of one.  Float kernels contract in float64.  Exact
@@ -18,7 +22,11 @@ so a battery that asks for the same density of one kernel many times
 contracts it once.
 The plan also runs backwards on float batches: each step's vector-Jacobian
 product gives the gradients of its inputs and of the part weights, so the
-minimizer's partials need no enumeration of assignments either.
+minimizer's partials need no enumeration of assignments either.  That walk
+reads the plan with the batch axis first, so that its sums over several
+vertex axes run over contiguous memory whatever the batch size, and a
+restart of the minimizer's batched descent gives the same bits as a start
+on its own.
 """
 from __future__ import annotations
 
@@ -55,17 +63,21 @@ def elimination_order(g: Graph):
     return order, width
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _plan(g: Graph, k: int):
     """Compiled elimination of g at k parts, as (steps, width).
 
-    Factor slots start as one per sorted edge (each the (B, k, k) kernel);
+    Factor slots start as one per sorted edge (each the (k, k, B) kernel);
     every eliminated vertex is one step (inputs, weight_shape, axis, scalar),
     where inputs are (slot, broadcast shape) pairs in slot order and each
-    shape leads with -1 for the batch.  A step multiplies its inputs, sums
-    the vertex out against the weights and either appends the result as a
-    new slot or, when no variable is left, multiplies it into the result.
-    width is elimination_order's, for the exact-size guard."""
+    shape ends with -1 for the batch, so the innermost loop of every
+    broadcast product and every sum runs over the kernels, not over a
+    vertex axis of length k.  A step multiplies its inputs, sums the vertex
+    out against the weights and either appends the result as a new slot or,
+    when no variable is left, multiplies it into the result.  width is
+    elimination_order's, for the exact-size guard.  512 entries keep the
+    plans of a sweep's catalog graphs at every part count while fresh
+    graphs pass through."""
     order, width = elimination_order(g)
     slot_vars = g.sorted_edges()
     live = set(range(len(slot_vars)))
@@ -74,10 +86,10 @@ def _plan(g: Graph, k: int):
         involved = sorted(i for i in live if v in slot_vars[i])
         live.difference_update(involved)
         union = tuple(sorted(set().union(*(slot_vars[i] for i in involved))))
-        inputs = tuple((i, (-1,) + tuple(k if t in slot_vars[i] else 1 for t in union))
+        inputs = tuple((i, tuple(k if t in slot_vars[i] else 1 for t in union) + (-1,))
                        for i in involved)
-        axis = 1 + union.index(v)
-        weight_shape = (-1,) + tuple(k if t == v else 1 for t in union)
+        axis = union.index(v)
+        weight_shape = tuple(k if t == v else 1 for t in union) + (-1,)
         rest = tuple(u for u in union if u != v)
         if rest:
             live.add(len(slot_vars))
@@ -89,13 +101,17 @@ def _plan(g: Graph, k: int):
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Homomorphism density of g in a batch of kernels.
     V is (B, k, k), mu is (B, k); returns (B,) in V's dtype, so object arrays
-    of Fractions contract exactly.  Isolated vertices contribute factor 1
-    since each weight vector sums to 1."""
+    of Fractions contract exactly.  Both are copied once into the plan's
+    batch-last layout, V as a contiguous (k, k, B) and mu as (k, B).
+    Isolated vertices contribute factor 1 since each weight vector sums
+    to 1."""
     B, k = mu.shape
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
         return acc
     steps, _ = _plan(g, k)
+    V = np.ascontiguousarray(V.transpose(1, 2, 0))
+    mu = np.ascontiguousarray(mu.T)
     slots = [V] * g.e
     for inputs, weight_shape, axis, scalar in steps:
         (i, shape), *more = inputs
@@ -104,7 +120,10 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
         for i, shape in more:
             joint = joint * slots[i].reshape(shape)
             slots[i] = None
-        joint = (joint * mu.reshape(weight_shape)).sum(axis=axis)
+        # a product of two or more inputs is a fresh array and takes the
+        # weights in place; a lone input is a view of V or of a slot
+        joint = np.multiply(joint, mu.reshape(weight_shape), out=joint if more else None)
+        joint = joint.sum(axis=axis)
         if scalar:
             acc = acc * joint
         else:
@@ -116,12 +135,22 @@ def _t_batch_grad(g: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
     """_t_batch on float kernels, then the same plan run backwards.
     Returns (value (B,), dV (B, k, k), dmu (B, k)).  dV treats every matrix
     entry as its own variable; dmu stays zero unless with_weights, and
-    leaves out isolated vertices, which are not in the plan."""
+    leaves out isolated vertices, which are not in the plan.
+
+    This walk keeps the batch first: it reads each plan step with the batch
+    axis moved to the front.  Its sums run over several vertex axes at once,
+    and numpy orders such a sum differently over contiguous and over
+    strided axes.  With the batch first the summed axes are contiguous
+    whatever B is; with the batch last they would be contiguous only for a
+    batch of one, and the minimizer's batched descent would no longer
+    reproduce a single start bit for bit."""
     B, k = mu.shape
     dmu = np.zeros((B, k))
     if not g.edges:
         return np.ones(B), np.zeros((B, k, k)), dmu
-    steps, _ = _plan(g, k)
+    steps = [(tuple((i, (-1,) + shape[:-1]) for i, shape in inputs), (-1,) + weight_shape[:-1],
+              axis + 1, scalar)
+             for inputs, weight_shape, axis, scalar in _plan(g, k)[0]]
     slots = [V] * g.e
     tape, scalars = [], []
     for inputs, weight_shape, axis, scalar in steps:

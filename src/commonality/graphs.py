@@ -323,6 +323,7 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 # constructions
 
 
+@lru_cache(maxsize=64)
 def apex_add(h: Graph, a: int) -> Graph:
     """Add a new vertices, each adjacent to all of h and to none of each other."""
     if not 0 <= a <= MAX_VERTICES - h.n:

@@ -14,6 +14,24 @@ from commonality.graphs import Graph
 from commonality.graphons import StepGraphon
 
 
+def enumerated_density(g: Graph, values, weights) -> Fraction:
+    """Homomorphism density of g as a sum over every assignment of parts to
+    the vertices that carry an edge, one Fraction term per assignment."""
+    k = len(weights)
+    active = [v for v in range(g.n) if g.adj[v]]
+    pos = {v: i for i, v in enumerate(active)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges]
+    total = Fraction(0)
+    for assign in itertools.product(range(k), repeat=len(active)):
+        term = Fraction(1)
+        for u, v in edges:
+            term *= values[assign[u]][assign[v]]
+        for i in assign:
+            term *= weights[i]
+        total += term
+    return total
+
+
 def t_induced(g: Graph, w: StepGraphon):
     """Density of g as an induced subgraph pattern on labelled samples."""
     one = Fraction(1) if w.exact else 1.0

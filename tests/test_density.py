@@ -15,10 +15,12 @@ from commonality.graphons import (
 )
 from commonality.density import (
     PAIRS5,
+    _t_batch,
     elimination_order,
     expansion_value,
     expansion_value_many,
     induced_pattern_vector,
+    integer_kernel,
     m,
     m_many,
     t_hom,
@@ -26,7 +28,8 @@ from commonality.density import (
     t_signed,
     t_signed_many,
 )
-from oracles import induced_pattern_vector_exact, t_induced
+from oracles import enumerated_density, induced_pattern_vector_exact, t_induced
+from strategies import seeded_rational_kernel
 
 RATIONAL_W = StepGraphon(
     [[Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(1, 5)]],
@@ -215,3 +218,71 @@ def test_constant_graphon_powers():
     w = constant_graphon(Fraction(1, 3))
     assert t_hom(catalog("k3"), w) == Fraction(1, 27)
     assert m(catalog("k3"), w) == Fraction(1, 27) + Fraction(8, 27)
+
+
+LAYOUT_GRAPHS = [
+    Graph(0),
+    Graph(4),  # isolated vertices only
+    Graph(5, [(1, 2), (2, 3), (1, 3)]),  # a triangle and two isolated vertices
+    Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # an edge, a triangle, a lone vertex
+    catalog("c4"),
+    catalog("k4"),
+]
+
+
+def _layouts(V, mu):
+    """The same batch as C-ordered, Fortran-ordered, transposed and strided
+    arrays (the kernels are symmetric, so the transpose holds the same
+    values)."""
+    B, k = mu.shape
+    yield V, mu
+    yield np.asfortranarray(V), np.asfortranarray(mu)
+    yield V.transpose(0, 2, 1), mu
+    wide_V = np.zeros((2 * B, k, k + 1), dtype=V.dtype)
+    wide_V[::2, :, :k] = V
+    wide_mu = np.zeros((B, 2 * k), dtype=mu.dtype)
+    wide_mu[:, ::2] = mu
+    yield wide_V[::2, :, :k], wide_mu[:, ::2]
+
+
+def test_t_batch_layouts_rows_and_single_rows():
+    # _t_batch copies its batch into the batch-last layout: any memory
+    # layout of the same batch gives the same bits, every row matches
+    # assignment enumeration, and a row alone agrees with its row in the
+    # batch (summation order may differ by batch size, within 4 ulp)
+    rng = random.Random(15)
+    for k in range(1, 6):
+        pool = [seeded_rational_kernel(k, rng) for _ in range(4)]
+        want = {(gi, p): enumerated_density(g, w.values, w.weights)
+                for gi, g in enumerate(LAYOUT_GRAPHS) for p, w in enumerate(pool)}
+        ints = [integer_kernel(w.values, w.weights) for w in pool]
+        for B in (1, 2, 3, 333):
+            picks = [rng.randrange(len(pool)) for _ in range(B)]
+            V_frac = np.array([pool[p].values for p in picks], dtype=object)
+            mu_frac = np.array([pool[p].weights for p in picks], dtype=object)
+            V, mu = V_frac.astype(np.float64), mu_frac.astype(np.float64)
+            V_int = np.array([ints[p][0] for p in picks])
+            mu_int = np.array([ints[p][1] for p in picks])
+            for gi, g in enumerate(LAYOUT_GRAPHS):
+                rows = [want[gi, p] for p in picks]
+                got = _t_batch(g, V, mu)
+                assert got.shape == (B,) and got.dtype == np.float64
+                for Vl, mul in _layouts(V, mu):
+                    assert np.array_equal(_t_batch(g, Vl, mul), got), (k, B, gi)
+                assert np.max(np.abs(got - np.array(rows, dtype=np.float64))) <= 1e-12
+                for i in range(B):
+                    alone = _t_batch(g, V[i:i + 1], mu[i:i + 1])[0]
+                    assert abs(alone - got[i]) <= 4 * np.spacing(abs(got[i])), (k, B, gi, i)
+                # exact batches: common-denominator integers at every size,
+                # Fraction entries on the small ones
+                active = sum(1 for v in range(g.n) if g.adj[v])
+                scale = [ints[p][2] ** g.e * ints[p][3] ** active for p in picks]
+                for Vl, mul in _layouts(V_int, mu_int):
+                    t = _t_batch(g, Vl, mul)
+                    assert [Fraction(x, d) for x, d in zip(t, scale)] == rows, (k, B, gi)
+                if B > 3:
+                    continue
+                for Vl, mul in _layouts(V_frac, mu_frac):
+                    t = _t_batch(g, Vl, mul)
+                    assert list(t) == rows, (k, B, gi)
+                    assert all(type(x) is Fraction for x in t) or not g.e

@@ -2,13 +2,13 @@
 elimination engine against assignment enumeration, certificate values from
 class totals against the full 1024-pattern sum, and the certificate
 identity as exact Fraction equalities."""
-import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,57 +20,19 @@ from commonality.certificate import (
     load_certificate,
 )
 from commonality import density
-from commonality.density import expansion_value, m, t_complement, t_hom, t_signed
+from commonality.density import (
+    expansion_value,
+    expansion_value_many,
+    m,
+    m_many,
+    t_complement,
+    t_hom,
+    t_signed,
+)
 from commonality.graphs import Graph, catalog, catalog_all
 from commonality.graphons import StepGraphon, corner_graphons, half
-from oracles import induced_pattern_vector_exact
-
-# derandomized and without an example database, so a run is reproducible
-# and writes nothing
-EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
-
-def enumerated_density(g: Graph, values, weights) -> Fraction:
-    # reference oracle: sum over every assignment of parts to the vertices
-    # that carry an edge, one Fraction term per assignment
-    k = len(weights)
-    active = [v for v in range(g.n) if g.adj[v]]
-    pos = {v: i for i, v in enumerate(active)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges]
-    total = Fraction(0)
-    for assign in itertools.product(range(k), repeat=len(active)):
-        term = Fraction(1)
-        for u, v in edges:
-            term *= values[assign[u]][assign[v]]
-        for i in assign:
-            term *= weights[i]
-        total += term
-    return total
-
-
-@st.composite
-def rational_kernels(draw, min_parts=1, max_parts=3, min_raw=0):
-    k = draw(st.integers(min_parts, max_parts))
-    entry = st.fractions(min_value=0, max_value=1, max_denominator=12)
-    upper = {(i, j): draw(entry) for i in range(k) for j in range(i, k)}
-    values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
-    raw = draw(st.lists(st.integers(min_raw, 5), min_size=k, max_size=k).filter(any))
-    return StepGraphon(values, [Fraction(x, sum(raw)) for x in raw])
-
-
-@st.composite
-def small_graphs(draw, max_n=6):
-    # the empty pair set gives the edgeless graph; vertices with no chosen
-    # pair stay isolated
-    n = draw(st.integers(0, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [p for p, b in zip(pairs, keep) if b])
-
-
-def as_float(w: StepGraphon) -> StepGraphon:
-    return StepGraphon([[float(x) for x in row] for row in w.values],
-                       [float(x) for x in w.weights])
+from oracles import enumerated_density, induced_pattern_vector_exact
+from strategies import EXACT, as_float, rational_kernels, seeded_rational_kernel, small_graphs
 
 
 @EXACT
@@ -159,11 +121,18 @@ def test_expansion_value_equals_m(w, name):
     assert abs(m(g, wf) - float(want)) <= 1e-12
 
 
-def seeded_rational_kernel(k: int, rng: random.Random) -> StepGraphon:
-    upper = {(i, j): Fraction(rng.randint(0, 12), 12) for i in range(k) for j in range(i, k)}
-    values = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
-    raw = [rng.randint(1, 9) for _ in range(k)]
-    return StepGraphon(values, [Fraction(x, sum(raw)) for x in raw])
+@EXACT
+@given(rational_kernels(), small_graphs())
+def test_expansion_value_equals_m_on_small_graphs(w, g):
+    # the identity is a fact about every graph, so it is drawn over labelled
+    # graphs with isolated vertices and several components as well; the
+    # packed float route is checked on the same draw
+    want = m(g, w)
+    assert expansion_value(g, w) == want
+    batch = [as_float(w), as_float(w.one_minus()), w]
+    got = expansion_value_many(g, batch)
+    assert np.max(np.abs(got - m_many(g, batch))) <= 1e-12
+    assert abs(got[0] - float(want)) <= 1e-12
 
 
 def test_certificate_identity_exact():

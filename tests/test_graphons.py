@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from commonality.graphs import Graph, catalog
 from commonality.graphons import (
@@ -14,6 +16,7 @@ from commonality.graphons import (
     parse_graphon,
     random_suite,
 )
+from strategies import EXACT, float_kernels, rational_kernels
 
 
 def test_constructor_validation():
@@ -77,6 +80,16 @@ def test_parse_format_roundtrip_float():
     w = StepGraphon([[0.25, 0.5], [0.5, 0.75]], [0.5, 0.5])
     w2 = parse_graphon(format_graphon(w))
     assert w2 == w and not w2.exact
+
+
+@EXACT
+@given(st.one_of(rational_kernels(max_parts=5), float_kernels()))
+def test_parse_format_roundtrip_property(w):
+    back = parse_graphon(format_graphon(w))
+    assert back == w and back.exact == w.exact and type(back) is StepGraphon
+    u = w.signed()
+    back = parse_graphon(format_graphon(u), signed=True)
+    assert back == u and back.exact == u.exact and type(back) is SignedStepGraphon
 
 
 def test_parse_errors():

@@ -30,6 +30,7 @@ from commonality.graphs import (
     triangles,
 )
 from oracles import canonical_brute
+from strategies import EXACT, small_graphs
 
 
 def test_basic_counts():
@@ -83,6 +84,12 @@ def test_parse_format_roundtrip():
         parse_graph("2\n0 2\n")
     with pytest.raises(ValueError):
         parse_graph("")
+
+
+@EXACT
+@given(small_graphs(max_n=16))
+def test_parse_format_roundtrip_property(g):
+    assert parse_graph(format_graph(g)) == g
 
 
 def test_parsers_share_prelude_messages():
