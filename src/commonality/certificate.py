@@ -9,19 +9,23 @@ functional lives in the 18-dimensional space spanned by the isomorphism
 classes of red/blue edge 2-colourings of the complete graph on five
 labelled points, modulo relabelling and colour swap.
 
-This module rederives the whole coordinate table from scratch: the 18
-classes are enumerated as orbits of the 1024 labelled patterns, each
-expression is expanded into its 1024 pattern coefficients, all integers,
-as one row of one coefficient matrix; the class means form one integer
-18x18 matrix, compared entry by entry against the shipped table, and the
-weight vectors are recomputed by exact Gaussian elimination.  A
-functional is evaluated at a concrete step graphon as its row of class
-means dotted with the 18 class totals.  One enumerator computes the totals
-for both routes: it sums over sorted assignments of parts to the five
-points (the totals do not change under relabelling), in float64 for float
-graphons and in integer arithmetic over common denominators for exact
-ones.  The full 1024-pattern vector over all k^5 assignments is kept only
-as the independent route of cross_validate_columns.
+This module rederives the whole coordinate table from scratch.  The 18
+classes are enumerated as orbits of the 1024 labelled patterns.  Each
+expression is computed as one int64 array over all 1024 patterns at once,
+from a (5, 5, 1024) array of pair colours (the colour swap is one minus
+it); the 18 arrays are the rows of one integer coefficient matrix.  Their
+class means form one integer 18x18 matrix, compared entry by entry against
+the shipped table, itself held as one (class, expression) coordinate
+matrix.  Each target's weights are recomputed by one exact Gaussian
+elimination.  A functional is evaluated at a concrete step graphon as its
+row of class means dotted with the 18 class totals.  One enumerator
+computes the totals for both routes: it sums over sorted assignments of
+parts to the five points (the totals do not change under relabelling), in
+float64 for float graphons and in integer arithmetic over common
+denominators for exact ones.  The full 1024-pattern vector over all k^5
+assignments is kept only as the independent route of
+cross_validate_columns, which checks a whole suite with one product per
+route.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -42,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import PAIRS5, induced_pattern_vector, integer_kernel, m
+from .density import PAIRS5, induced_pattern_vector, integer_kernel, m_many
 from .exactlinalg import mat_vec, rank, solve_unique
 from .graphs import Graph, catalog
 from .graphons import StepGraphon, corner_graphons, random_suite
@@ -167,131 +171,12 @@ def class_of_mask():
 # The sixteen building-block expressions plus the two targets.
 #
 # Each expression is a colour-symmetric functional of the 5-point sample,
-# written as a function of the labelled pattern mask.  Conditioning
+# computed at once for all 1024 labelled patterns from their pair colours
+# c[i, j] (arrays over patterns, 1 for a black pair).  Conditioning
 # measures are used unnormalised: the weight is the plain product of edge
-# and non-edge indicators over the root pairs.  A square over fresh
-# points duplicates only the fresh points, so (E_x[L])^2 becomes
-# L(x) * L(x') on two fresh sample points.
-
-def _adj(mask: int):
-    def a(i, j):
-        return (mask >> _PAIR_BIT[i][j]) & 1
-    return a
-
-
-# root triple 0,1,2 (distinguished root 0), fresh points as arguments
-def _cap(a, x):
-    return a(x, 0) * a(x, 1) * a(x, 2)
-
-
-def _nothing(a, x):
-    return (1 - a(x, 0)) * (1 - a(x, 1)) * (1 - a(x, 2))
-
-
-def _sym_off_root(a, x):
-    return (a(x, 1) ^ a(x, 2)) * (1 - a(x, 0))
-
-
-def _sym_on_root(a, x):
-    return (a(x, 1) ^ a(x, 2)) * a(x, 0)
-
-
-def _root_only(a, x):
-    return a(x, 0) * (1 - a(x, 1)) * (1 - a(x, 2))
-
-
-def _pair_only(a, x):
-    return a(x, 1) * a(x, 2) * (1 - a(x, 0))
-
-
-def _w_triple_empty(a):
-    return (1 - a(0, 1)) * (1 - a(0, 2)) * (1 - a(1, 2))
-
-
-def _w_triple_edge(a):
-    return (1 - a(0, 1)) * (1 - a(0, 2)) * a(1, 2)
-
-
-def _signed_endpoint_difference(off_root, on_root):
-    # (off + (on-off)*1[x ~ root 0]) * (1[x in N_c \ N_b] - 1[x in N_b \ N_c]),
-    # where bc is the conditioned edge.  Antisymmetric under swapping b and c,
-    # so its square is a legitimate class functional, and its fresh-point
-    # average vanishes on every constant graphon by symmetry.
-    def lin(a, x):
-        if a(x, 1) + a(x, 2) != 1:
-            return 0
-        return (on_root if a(x, 0) else off_root) * (a(x, 2) - a(x, 1))
-    return lin
-
-
-def _excess_expression(name: str, pref: int):
-    g = catalog(name)
-    assert g.n == 5
-    em = _edges_to_mask(g.edges)
-    # the prefactor clears the two-colour floor 2^(1-e)
-    floor = pref // 2 ** (g.e - 1)
-    assert floor * 2 ** (g.e - 1) == pref, "%d*excess(%s) has a fractional floor" % (pref, name)
-
-    def F(mask: int) -> int:
-        hits = (1 if mask & em == em else 0) + (1 if (FULL_MASK ^ mask) & em == em else 0)
-        return pref * hits - floor
-
-    return F
-
-
-def _triple_square(pref: int, weight, lin):
-    def raw(mask: int) -> int:
-        a = _adj(mask)
-        w = weight(a)
-        if not w:
-            return 0
-        return w * lin(a, 3) * lin(a, 4)
-
-    def F(mask: int) -> int:
-        return pref * (raw(mask) + raw(FULL_MASK ^ mask))
-
-    return F
-
-
-def _pair_difference_square(mask: int) -> int:
-    # roots 0,1 joined by an edge; fresh points 2 and 3
-    a = _adj(mask)
-    if not a(0, 1):
-        return 0
-    return (a(2, 0) - a(2, 1)) * (a(3, 0) - a(3, 1))
-
-
-def _shared_pair_kernel(a, x, y):
-    # sign of the xy edge times the signed both-or-neither indicator at 0
-    return (2 * a(x, y) - 1) * (a(x, 0) * a(y, 0) - (1 - a(x, 0)) * (1 - a(y, 0)))
-
-
-def _kernel_square(mask: int) -> int:
-    a = _adj(mask)
-    return _shared_pair_kernel(a, 1, 2) * _shared_pair_kernel(a, 3, 4)
-
-
-def _sign_product(mask: int) -> int:
-    a = _adj(mask)
-    out = 1
-    for i in (1, 2, 3, 4):
-        out *= 2 * a(i, 0) - 1
-    return out
-
-
-def _pair_avoid_sym_square(mask: int) -> int:
-    # roots 0,1 joined by an edge; one fresh point avoiding both roots,
-    # two more fresh points carrying the signed one-of-the-two indicator
-    a = _adj(mask)
-    if not a(0, 1):
-        return 0
-    avoid = (1 - a(2, 0)) * (1 - a(2, 1))
-    if not avoid:
-        return 0
-    q3 = 2 * (a(3, 0) ^ a(3, 1)) - 1
-    q4 = 2 * (a(4, 0) ^ a(4, 1)) - 1
-    return avoid * q3 * q4
-
+# and non-edge indicators over the root pairs.  A square over fresh points
+# duplicates only the fresh points, so (E_x[L])^2 becomes L(x) * L(x') on
+# two fresh sample points.
 
 EXPRESSION_KEYS = tuple(range(1, 17)) + ("vA", "vB")
 _ROW = {key: pos for pos, key in enumerate(EXPRESSION_KEYS)}
@@ -301,47 +186,76 @@ _ROW = {key: pos for pos, key in enumerate(EXPRESSION_KEYS)}
 EXCESS = {1: ("h1", 480), 2: ("h2", 480), 3: ("c5", 48), "vA": ("h3", 480), "vB": ("h4", 960)}
 
 
-def _expression_function(key):
-    if key in EXCESS:
-        return _excess_expression(*EXCESS[key])
-    if key == 4:
-        return _triple_square(10, _w_triple_empty, lambda a, x: _cap(a, x) - _nothing(a, x))
-    if key == 5:
-        return _triple_square(10, _w_triple_empty, lambda a, x: 8 * _nothing(a, x) - 1)
-    if key == 6:
-        return _triple_square(30, _w_triple_edge, _signed_endpoint_difference(5, 2))
-    if key == 7:
-        return _triple_square(30, _w_triple_edge, _signed_endpoint_difference(2, -5))
-    if key == 8:
-        return _triple_square(30, _w_triple_edge, lambda a, x: _cap(a, x) - _nothing(a, x))
-    if key == 9:
-        return _triple_square(30, _w_triple_edge, lambda a, x: _root_only(a, x) - _nothing(a, x))
-    if key == 10:
-        return _triple_square(30, _w_triple_edge, lambda a, x: _pair_only(a, x) - _nothing(a, x))
-    if key == 11:
-        return _triple_square(30, _w_triple_edge,
-                              lambda a, x: _sym_off_root(a, x) - 2 * _nothing(a, x))
-    if key == 12:
-        return _triple_square(30, _w_triple_edge,
-                              lambda a, x: _sym_on_root(a, x) - 2 * _nothing(a, x))
-    if key == 13:
-        return lambda mask: 15 * _kernel_square(mask)
-    if key == 14:
-        return lambda mask: 15 * (_pair_difference_square(mask)
-                                  + _pair_difference_square(FULL_MASK ^ mask))
-    if key == 15:
-        return lambda mask: 15 * _sign_product(mask)
-    if key == 16:
-        return lambda mask: 30 * (_pair_avoid_sym_square(mask)
-                                  + _pair_avoid_sym_square(FULL_MASK ^ mask))
-    raise KeyError("unknown expression key %r" % (key,))
+def _pattern_colours():
+    # int64 (5, 5, 1024): entry [i, j, P] is 1 when pair ij is black in P
+    masks = np.arange(1 << 10)
+    colours = np.zeros((5, 5, 1 << 10), dtype=np.int64)
+    for p, (i, j) in enumerate(PAIRS5):
+        colours[i, j] = colours[j, i] = (masks >> p) & 1
+    return colours
+
+
+def _one_colour_squares(c):
+    """The conditioned squares that sum one term per colour: their terms
+    at pair colours c, by key."""
+    # root triple 0, 1, 2 (distinguished root 0); row x of y0, y1, y2 holds
+    # fresh point 3 + x against each root
+    y0, y1, y2 = c[3:, 0], c[3:, 1], c[3:, 2]
+    cap = y0 * y1 * y2
+    nothing = (1 - y0) * (1 - y1) * (1 - y2)
+    one_of_pair = y1 ^ y2
+    triple_empty = (1 - c[0, 1]) * (1 - c[0, 2]) * (1 - c[1, 2])
+    triple_edge = (1 - c[0, 1]) * (1 - c[0, 2]) * c[1, 2]
+
+    def endpoint_difference(off_root, on_root):
+        # (off + (on-off)*1[x ~ root 0]) * (1[x in N_2 \ N_1] - 1[x in N_1 \ N_2]),
+        # where 12 is the conditioned edge.  Antisymmetric under swapping 1
+        # and 2, so its square is a legitimate class functional, and its
+        # fresh-point average vanishes on every constant graphon by symmetry.
+        return (off_root + (on_root - off_root) * y0) * (y2 - y1)
+
+    return {
+        4: 10 * triple_empty * (cap - nothing).prod(axis=0),
+        5: 10 * triple_empty * (8 * nothing - 1).prod(axis=0),
+        6: 30 * triple_edge * endpoint_difference(5, 2).prod(axis=0),
+        7: 30 * triple_edge * endpoint_difference(2, -5).prod(axis=0),
+        8: 30 * triple_edge * (cap - nothing).prod(axis=0),
+        9: 30 * triple_edge * (y0 * (1 - y1) * (1 - y2) - nothing).prod(axis=0),
+        10: 30 * triple_edge * ((1 - y0) * y1 * y2 - nothing).prod(axis=0),
+        11: 30 * triple_edge * ((1 - y0) * one_of_pair - 2 * nothing).prod(axis=0),
+        12: 30 * triple_edge * (y0 * one_of_pair - 2 * nothing).prod(axis=0),
+        # roots 0, 1 joined by an edge; fresh points 2 and 3
+        14: 15 * c[0, 1] * (c[2:4, 0] - c[2:4, 1]).prod(axis=0),
+        # roots 0, 1 joined by an edge; fresh point 2 avoids both roots, and
+        # fresh points 3 and 4 carry the signed one-of-the-two indicator
+        16: 30 * c[0, 1] * (1 - c[2, 0]) * (1 - c[2, 1])
+        * (2 * (c[3:, 0] ^ c[3:, 1]) - 1).prod(axis=0),
+    }
 
 
 @lru_cache(maxsize=1)
 def _coefficient_matrix():
     # int64, one row of 1024 labelled-pattern coefficients per expression
-    return np.array([[F(mask) for mask in range(1 << 10)]
-                     for F in map(_expression_function, EXPRESSION_KEYS)], dtype=np.int64)
+    c = _pattern_colours()
+    swapped = 1 - c
+    rows = _one_colour_squares(c)
+    for key, term in _one_colour_squares(swapped).items():
+        rows[key] += term
+    for key, (name, pref) in EXCESS.items():
+        g = catalog(name)
+        assert g.n == 5
+        # the prefactor clears the two-colour floor 2^(1-e)
+        floor, rest = divmod(pref, 2 ** (g.e - 1))
+        assert not rest, "%d*excess(%s) has a fractional floor" % (pref, name)
+        u, v = np.array(g.sorted_edges()).T
+        rows[key] = pref * (c[u, v].prod(axis=0) + swapped[u, v].prod(axis=0)) - floor
+    # colour-symmetric as they stand: the sign of each xy edge times the
+    # signed both-or-neither indicator of x and y at root 0, over the pairs
+    # 12 and 34; and the product of the signs of the four edges at root 0
+    both = c[[1, 3], 0] * c[[2, 4], 0] - swapped[[1, 3], 0] * swapped[[2, 4], 0]
+    rows[13] = 15 * ((2 * c[[1, 3], [2, 4]] - 1) * both).prod(axis=0)
+    rows[15] = 15 * (2 * c[1:, 0] - 1).prod(axis=0)
+    return np.stack([rows[key] for key in EXPRESSION_KEYS])
 
 
 def coefficient_vector(key):
@@ -382,19 +296,30 @@ def derived_coordinates(key):
 # ---------------------------------------------------------------------------
 # Shipped coordinate tables.
 
+# Each target is a nonnegative combination of fifteen of the sixteen
+# columns: vA leaves out column 16 and vB column 15.  These are the
+# 0-based positions of the columns each target's weights multiply.
+TARGET_COLUMNS = {"vA": tuple(range(15)), "vB": tuple(range(14)) + (15,)}
+
+
 @dataclass(frozen=True)
 class Certificate:
     matrix: tuple            # 18 rows of 16 ints
     target_a: tuple          # 18 ints
     target_b: tuple          # 18 ints
-    weights_a: tuple         # 15 Fractions, column 16 dropped
-    weights_b: tuple         # 15 Fractions, column 15 dropped
+    weights_a: tuple         # 15 Fractions over TARGET_COLUMNS["vA"]
+    weights_b: tuple         # 15 Fractions over TARGET_COLUMNS["vB"]
+
+    def coordinates(self):
+        """The whole table as one integer array: a row per class, a column
+        per expression in EXPRESSION_KEYS order."""
+        return np.column_stack([self.matrix, self.target_a, self.target_b])
 
     def columns_for_a(self):
-        return tuple(tuple(row[j] for j in range(16) if j != 15) for row in self.matrix)
+        return tuple(tuple(row[j] for j in TARGET_COLUMNS["vA"]) for row in self.matrix)
 
     def columns_for_b(self):
-        return tuple(tuple(row[j] for j in range(16) if j != 14) for row in self.matrix)
+        return tuple(tuple(row[j] for j in TARGET_COLUMNS["vB"]) for row in self.matrix)
 
 
 def data_path(name="certificate_tables.txt") -> str:
@@ -456,20 +381,12 @@ def load_certificate(path=None, sums_path=None) -> Certificate:
 
 def check_derivation(cert: Certificate):
     """Rederive every table entry from the expressions; list mismatches."""
-    problems = []
-    for j, key in enumerate(range(1, 17)):
-        derived = derived_coordinates(key)
-        for i in range(18):
-            if derived[i] != cert.matrix[i][j]:
-                problems.append("column %d class %d: derived %d, table %d"
-                                % (key, i + 1, derived[i], cert.matrix[i][j]))
-    for key, target in (("vA", cert.target_a), ("vB", cert.target_b)):
-        derived = derived_coordinates(key)
-        for i in range(18):
-            if derived[i] != target[i]:
-                problems.append("target %s class %d: derived %d, table %d"
-                                % (key, i + 1, derived[i], target[i]))
-    return problems
+    derived = _class_mean_matrix()
+    table = cert.coordinates().T
+    return ["%s %s class %d: derived %d, table %d"
+            % ("column" if j < 16 else "target", EXPRESSION_KEYS[j], i + 1,
+               derived[j, i], table[j, i])
+            for j, i in np.argwhere(derived != table)]
 
 
 @dataclass(frozen=True)
@@ -491,24 +408,26 @@ class LinearAlgebraReport:
                 and self.product_match_a and self.product_match_b)
 
 
+def _check_system(rows, target, weights):
+    """(rank, weights recovered, weights nonnegative, product matches) for
+    one target.  One exact elimination: a unique solution proves full
+    column rank, so the rank is computed only when the solve fails."""
+    try:
+        solved = tuple(solve_unique(rows, target))
+    except ValueError:
+        solved = None
+    return (len(solved) if solved is not None else rank(rows), solved == weights,
+            all(x >= 0 for x in weights), mat_vec(rows, weights) == list(target))
+
+
 def verify_linear_algebra(cert: Certificate) -> LinearAlgebraReport:
     """Recompute the weight vectors by exact elimination and compare."""
-    rows_a = cert.columns_for_a()
-    rows_b = cert.columns_for_b()
-    rank_a = rank(rows_a)
-    rank_b = rank(rows_b)
-    solved_a = solve_unique(rows_a, cert.target_a) if rank_a == 15 else None
-    solved_b = solve_unique(rows_b, cert.target_b) if rank_b == 15 else None
-    return LinearAlgebraReport(
-        rank_a=rank_a,
-        rank_b=rank_b,
-        weights_match_a=solved_a is not None and tuple(solved_a) == cert.weights_a,
-        weights_match_b=solved_b is not None and tuple(solved_b) == cert.weights_b,
-        nonnegative_a=all(x >= 0 for x in cert.weights_a),
-        nonnegative_b=all(x >= 0 for x in cert.weights_b),
-        product_match_a=mat_vec(rows_a, cert.weights_a) == [Fraction(v) for v in cert.target_a],
-        product_match_b=mat_vec(rows_b, cert.weights_b) == [Fraction(v) for v in cert.target_b],
-    )
+    rank_a, match_a, nonneg_a, product_a = _check_system(
+        cert.columns_for_a(), cert.target_a, cert.weights_a)
+    rank_b, match_b, nonneg_b, product_b = _check_system(
+        cert.columns_for_b(), cert.target_b, cert.weights_b)
+    return LinearAlgebraReport(rank_a, rank_b, match_a, match_b,
+                               nonneg_a, nonneg_b, product_a, product_b)
 
 
 # ---------------------------------------------------------------------------
@@ -620,26 +539,21 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
         cert = load_certificate()
     if suite is None:
         suite = random_suite(count, seed) + corner_graphons()
-    coords = {key: tuple(cert.matrix[i][key - 1] for i in range(18))
-              for key in range(1, 17)}
-    coords["vA"] = cert.target_a
-    coords["vB"] = cert.target_b
-    route_gap = 0.0
-    direct_gap = 0.0
     if totals is None:
         totals = [class_density_totals(w) for w in suite]
-    for w, tot in zip(suite, totals):
-        vals = _float_coefficient_matrix() @ induced_pattern_vector(w)
-        for pos, key in enumerate(EXPRESSION_KEYS):
-            # class coordinates are means of a vector that is not constant
-            # per class, but pattern densities are, so coordinate @ totals
-            # reproduces the functional
-            cvec = np.array(coords[key], dtype=float)
-            route_gap = max(route_gap, abs(vals[pos] - float(cvec @ tot)))
-        for key, (gname, pref) in EXCESS.items():
-            g = catalog(gname)
-            direct = pref * (m(g, w) - 2.0 ** (1 - g.e))
-            direct_gap = max(direct_gap, abs(vals[_ROW[key]] - direct))
+    # class coordinates are means of a vector that is not constant per
+    # class, but pattern densities are, so totals @ coordinates reproduces
+    # every functional; both routes are (suite, 18) arrays
+    table_route = np.array(totals, dtype=np.float64).reshape(-1, 18) @ cert.coordinates()
+    patterns = np.array([induced_pattern_vector(w) for w in suite]).reshape(-1, 1 << 10)
+    pattern_route = patterns @ _float_coefficient_matrix().T
+    route_gap = float(np.abs(pattern_route - table_route).max(initial=0.0))
+    direct_gap = 0.0
+    for key, (gname, pref) in EXCESS.items():
+        g = catalog(gname)
+        direct = pref * (m_many(g, suite) - 2.0 ** (1 - g.e))
+        direct_gap = max(direct_gap, float(np.abs(pattern_route[:, _ROW[key]] - direct)
+                                           .max(initial=0.0)))
     return CrossValidationReport(count=len(suite), route_gap=route_gap,
                                  direct_gap=direct_gap, tolerance=tolerance)
 
@@ -703,33 +617,20 @@ def conclude_commonality(cert=None, count=60, seed=2026,
     mismatches = tuple(check_derivation(cert))
     lin = verify_linear_algebra(cert)
     suite = random_suite(count, seed) + corner_graphons()
-    wa = np.array([float(x) for x in cert.weights_a])
-    wb = np.array([float(x) for x in cert.weights_b])
-    keep_a = [j for j in range(16) if j != 15]
-    keep_b = [j for j in range(16) if j != 14]
-    column_floor = float("inf")
-    floor_a = float("inf")
-    floor_b = float("inf")
-    identity_gap = 0.0
-    pos_a = _ROW["vA"]
-    pos_b = _ROW["vB"]
     # one class enumeration per kernel, shared with the cross-validation
-    totals = [class_density_totals(w) for w in suite]
-    means = _class_mean_matrix().astype(np.float64)
-    for tot in totals:
-        vals = means @ tot
-        column_floor = min(column_floor, float(vals[:16].min()))
-        floor_a = min(floor_a, float(vals[pos_a]))
-        floor_b = min(floor_b, float(vals[pos_b]))
-        identity_gap = max(identity_gap, abs(float(vals[keep_a] @ wa) - float(vals[pos_a])))
-        identity_gap = max(identity_gap, abs(float(vals[keep_b] @ wb) - float(vals[pos_b])))
+    totals = np.array([class_density_totals(w) for w in suite])
+    vals = totals @ _class_mean_matrix().T.astype(np.float64)
+    identity_gap = max(
+        float(np.abs(vals[:, TARGET_COLUMNS[key]] @ np.array(weights, dtype=np.float64)
+                     - vals[:, _ROW[key]]).max())
+        for key, weights in (("vA", cert.weights_a), ("vB", cert.weights_b)))
     crossval = cross_validate_columns(cert, suite=suite, totals=totals)
     return CertificateConclusion(
         derivation_mismatches=mismatches,
         linalg=lin,
-        column_floor=column_floor,
-        target_floor_a=floor_a,
-        target_floor_b=floor_b,
+        column_floor=float(vals[:, :16].min()),
+        target_floor_a=float(vals[:, _ROW["vA"]].min()),
+        target_floor_b=float(vals[:, _ROW["vB"]].min()),
         identity_gap=identity_gap,
         crossval=crossval,
         suite_size=len(suite),

@@ -116,6 +116,8 @@ def _cmd_inequalities(args) -> int:
         reports = standard_battery(_load_graphon(args.graphon, args.exact), args.tolerance)
         sys.stdout.write(format_reports(reports))
         return 0 if all(r.holds for r in reports) else 1
+    if args.exact:
+        raise ValueError("--exact needs --graphon: a suite sweeps float kernels")
     kernels = random_suite(args.suite, args.seed) + corner_graphons()
     checked = 0
     bad = []

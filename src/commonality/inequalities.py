@@ -115,19 +115,23 @@ def check_holder(h: Graph, j: Graph, f: Graph, k: int, l: int, w: StepGraphon,
     return _ge(name, mh, Fraction(2) ** (k - l) * mj ** l / mf ** (k - 1), w, tol)
 
 
+def _triangle_power_bound(name, dens, g, phi, x, w, tol):
+    """t_g >= t_K3^phi / t_K2^x in the colour that dens measures, in the
+    multiplicative form t_g t_K2^x >= t_K3^phi when t_K2 vanishes."""
+    tg, t_edge, t_tri = dens(g, w), dens(catalog("k2"), w), dens(catalog("k3"), w)
+    if t_edge <= 0:
+        return _ge(name, tg * t_edge ** x, t_tri ** phi, w, tol,
+                   detail="multiplicative form, edge density vanishes")
+    return _ge(name, tg, t_tri ** phi / t_edge ** x, w, tol)
+
+
 def check_jtree_bound(h: Graph, w: StepGraphon, tol=INEQ_TOL) -> InequalityReport:
     """t_h >= t_triangle^phi / t_edge^kappa for a graph glued from triangles."""
     rep = find_triangle_decomposition(h)
     if rep is None:
         return _na("jtree", w, detail="not glued from triangles")
-    t_edge = t_hom(catalog("k2"), w)
-    t_tri = t_hom(catalog("k3"), w)
-    th = t_hom(h, w)
-    name = f"jtree[phi={rep.phi},kappa={rep.kappa}]"
-    if t_edge <= 0:
-        return _ge(name, th * t_edge ** rep.kappa, t_tri ** rep.phi, w, tol,
-                   detail="multiplicative form, edge density vanishes")
-    return _ge(name, th, t_tri ** rep.phi / t_edge ** rep.kappa, w, tol)
+    return _triangle_power_bound(f"jtree[phi={rep.phi},kappa={rep.kappa}]", t_hom, h,
+                                 rep.phi, rep.kappa, w, tol)
 
 
 def check_tritree_chain(h: Graph, w: StepGraphon, tol=INEQ_TOL, prefix="tritree"):
@@ -156,18 +160,9 @@ def check_addtree_bound(t: Graph, u: int, h: Graph, v: int, w: StepGraphon,
         return [_na("addtree", w,
                     detail=f"tree has {t.e} edges, budget is kappa={rep.kappa}")]
     glued = pendant_attach(t, u, h, v)
-    k3, k2 = catalog("k3"), catalog("k2")
-    out = []
-    for side, dens in (("density", t_hom), ("density-complement", t_complement)):
-        tg = dens(glued, w)
-        te = dens(k2, w)
-        tt = dens(k3, w)
-        name = f"addtree:{side}"
-        if te <= 0:
-            out.append(_ge(name, tg * te ** (rep.kappa - t.e), tt ** rep.phi, w, tol,
-                           detail="multiplicative form"))
-        else:
-            out.append(_ge(name, tg, tt ** rep.phi / te ** (rep.kappa - t.e), w, tol))
+    out = [_triangle_power_bound(f"addtree:{side}", dens, glued, rep.phi, rep.kappa - t.e,
+                                 w, tol)
+           for side, dens in (("density", t_hom), ("density-complement", t_complement))]
     out.append(_ge("addtree:common", m(glued, w), Fraction(2) ** (1 - glued.e), w, tol))
     return out
 

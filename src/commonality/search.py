@@ -43,10 +43,12 @@ def _m_value_gradient(h: Graph, V: np.ndarray, mu: np.ndarray, with_weights: boo
     (B, k) weight gradient ignores isolated vertices (their uniform
     contribution projects out on the simplex anyway).
     """
-    t1, g1, w1 = _t_batch_grad(h, V, mu, with_weights)
-    t2, g2, w2 = _t_batch_grad(h, 1.0 - V, mu, with_weights)
-    g = g1 - g2
-    return t1 + t2, g + g.transpose(0, 2, 1) - g * np.eye(V.shape[1]), w1 + w2
+    B = len(V)
+    # one walk over the stacked batch (V; 1 - V), 2B kernels
+    t, dv, dw = _t_batch_grad(h, np.concatenate([V, 1.0 - V]), np.concatenate([mu, mu]),
+                              with_weights)
+    g = dv[:B] - dv[B:]
+    return t[:B] + t[B:], g + g.transpose(0, 2, 1) - g * np.eye(V.shape[1]), dw[:B] + dw[B:]
 
 
 def gradient_m(h: Graph, w: StepGraphon) -> np.ndarray:

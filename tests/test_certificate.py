@@ -2,6 +2,7 @@
 coordinate tables, linear algebra, and the two-route numeric evaluation."""
 
 import dataclasses
+import hashlib
 import shutil
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ import pytest
 
 from commonality.certificate import (
     EXPRESSION_KEYS,
+    _coefficient_matrix,
     _float_coefficient_matrix,
     check_derivation,
     class_density_totals,
@@ -74,6 +76,27 @@ def test_derivation_matches_shipped_tables():
         assert {type(c) for c in coefficient_vector(key) + derived_coordinates(key)} == {int}
 
 
+def test_coefficient_matrix_frozen():
+    # every one of the 18 * 1024 pattern coefficients: class means alone
+    # would not notice a coefficient that moved within its class
+    coeffs = _coefficient_matrix()
+    assert coeffs.dtype == np.int64 and coeffs.shape == (18, 1024)
+    assert hashlib.sha256(coeffs.astype("<i8").tobytes()).hexdigest() == (
+        "6e181c7c5ee92352ce8bd6df25813dfad2797c90d21f4e89167204ccc9857b75")
+
+
+def test_derivation_reports_a_bumped_entry():
+    cert = load_certificate()
+    rows = [list(row) for row in cert.matrix]
+    rows[6][4] += 1
+    bumped = dataclasses.replace(cert, matrix=tuple(map(tuple, rows)))
+    assert check_derivation(bumped) == ["column 5 class 7: derived 2, table 3"]
+    target = list(cert.target_b)
+    target[0] -= 1
+    bumped = dataclasses.replace(cert, target_b=tuple(target))
+    assert check_derivation(bumped) == ["target vB class 1: derived 945, table 944"]
+
+
 def test_target_vector_frozen():
     assert derived_coordinates("vA") == (
         465, 177, 33, 81, -15, -15, 17, 1, -15, -15, -15, -7, -15, -15, -15, -15, -15, -15)
@@ -116,6 +139,23 @@ def test_linear_algebra_notices_wrong_weights():
     rep = verify_linear_algebra(bad)
     assert not rep.weights_match_a
     assert not rep.product_match_a
+    assert not rep.ok
+
+
+def test_linear_algebra_reports_rank_when_the_solve_fails():
+    # column 2 copied over column 1: both systems lose one rank, so the
+    # unique solve fails and the rank is computed instead
+    cert = load_certificate()
+    rows = tuple((row[1],) + row[1:] for row in cert.matrix)
+    rep = verify_linear_algebra(dataclasses.replace(cert, matrix=rows))
+    assert rep.rank_a == 14 and rep.rank_b == 14
+    assert not rep.weights_match_a and not rep.weights_match_b
+    assert not rep.ok
+    # a target outside the span of full-rank columns is a failed check,
+    # not an error
+    target = (cert.target_a[0] + 1,) + cert.target_a[1:]
+    rep = verify_linear_algebra(dataclasses.replace(cert, target_a=target))
+    assert rep.rank_a == 15 and not rep.weights_match_a and not rep.product_match_a
     assert not rep.ok
 
 

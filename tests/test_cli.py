@@ -170,6 +170,9 @@ def test_parse_errors_exit_two(capsys):
     assert run(capsys, "verify-certificate", "--exact")[0] == 2
     assert run(capsys, "minimize", "k3", "--exact")[0] == 2
     assert run(capsys, "tritree", "jst", "--seed", "1")[0] == 2
+    # a suite sweeps float kernels, so --exact without --graphon is not honoured
+    code, out, err = run(capsys, "inequalities", "--exact", "--suite", "3")
+    assert (code, out) == (2, "") and "--graphon" in err
 
 
 def test_bad_kernels_exit_two_under_optimize(tmp_path):
