@@ -10,22 +10,20 @@ classes of red/blue edge 2-colourings of the complete graph on five
 labelled points, modulo relabelling and colour swap.
 
 This module rederives the whole coordinate table from scratch.  The 18
-classes are enumerated as orbits of the 1024 labelled patterns.  Each
-expression is computed as one int64 array over all 1024 patterns at once,
-from a (5, 5, 1024) array of pair colours (the colour swap is one minus
-it); the 18 arrays are the rows of one integer coefficient matrix.  Their
-class means form one integer 18x18 matrix, compared entry by entry against
-the shipped table, itself held as one (class, expression) coordinate
-matrix.  Each target's weights are recomputed by one exact Gaussian
-elimination.  A functional is evaluated at a concrete step graphon as its
-row of class means dotted with the 18 class totals.  One enumerator
-computes the totals for both routes: it sums over sorted assignments of
-parts to the five points (the totals do not change under relabelling), in
-float64 for float graphons and in integer arithmetic over common
-denominators for exact ones.  The full 1024-pattern vector over all k^5
-assignments is kept only as the independent route of
-cross_validate_columns, which checks a whole suite with one product per
-route.
+classes are the orbits of the 1024 labelled patterns, named by one integer
+product: each pattern's least mask over the 5! relabellings, folded with
+its colour swap.  Each expression is one int64 array over all 1024
+patterns, from a (5, 5, 1024) array of pair colours (the colour swap is
+one minus it); the 18 arrays are the rows of one integer coefficient
+matrix.  Their class means form one integer 18x18 matrix, compared entry
+by entry against the shipped table, itself held as one (class, expression)
+coordinate matrix.  Each target's weights are recomputed by one exact
+Gaussian elimination.  A functional is evaluated at a step graphon as its
+row of class means dotted with the 18 class totals.  Both pattern routes
+go through density.pattern_sums: the class totals over the sorted
+assignments of parts to the five points, with multinomial counts, in
+float64 or in integers over common denominators; the full vector over all
+k^5 assignments only as the independent route of cross_validate_columns.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -46,12 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import PAIRS5, induced_pattern_vector, integer_kernel, m_many
+from .density import PAIRS5, induced_pattern_vector, integer_kernel, m_many, pattern_sums
 from .exactlinalg import mat_vec, rank, solve_unique
 from .graphs import Graph, catalog
 from .graphons import StepGraphon, corner_graphons, random_suite
-
-FULL_MASK = (1 << 10) - 1
 
 # Black-edge sets of the 18 class representatives, in the fixed order the
 # coordinate tables use.  Vertices 0..4; the black/white split of each
@@ -77,38 +73,14 @@ FIGURE_CLASS_EDGES = (
     ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
 )
 
-_PAIR_BIT = [[0] * 5 for _ in range(5)]
-for _p, (_i, _j) in enumerate(PAIRS5):
-    _PAIR_BIT[_i][_j] = _p
-    _PAIR_BIT[_j][_i] = _p
 
-
-def _edges_to_mask(edges) -> int:
-    mask = 0
-    for u, v in edges:
-        mask |= 1 << _PAIR_BIT[u][v]
-    return mask
-
-
-def _perm_bit_maps():
-    maps = []
-    for perm in itertools.permutations(range(5)):
-        mp = [0] * 10
-        for p, (i, j) in enumerate(PAIRS5):
-            mp[p] = _PAIR_BIT[perm[i]][perm[j]]
-        maps.append(tuple(mp))
-    return tuple(maps)
-
-
-_PERM_MAPS = _perm_bit_maps()
-
-
-def _apply_bit_map(mask: int, mp) -> int:
-    out = 0
-    for p in range(10):
-        if (mask >> p) & 1:
-            out |= 1 << mp[p]
-    return out
+def _pattern_colours():
+    # int64 (5, 5, 1024): entry [i, j, P] is 1 when pair ij is black in P
+    masks = np.arange(1 << 10)
+    colours = np.zeros((5, 5, 1 << 10), dtype=np.int64)
+    for p, (i, j) in enumerate(PAIRS5):
+        colours[i, j] = colours[j, i] = (masks >> p) & 1
+    return colours
 
 
 @dataclass(frozen=True)
@@ -128,33 +100,32 @@ class PartitionClass:
 def enumerate_partition_classes():
     """The 18 orbits of labelled patterns under relabelling + colour swap.
 
-    The orbits are forced to cover the 1024 patterns exactly once; two of
-    them are colour-self-complementary.
+    The (1024, 10) pair bits of the patterns times the (10, 120) bit
+    weights of the 5! relabellings give every relabelled mask; the least
+    is a pattern's key, and min(key[P], key[1023 - P]) adds the colour
+    swap.  The orbits are forced to cover the 1024 patterns exactly once;
+    two of them are colour-self-complementary.
     """
-    classes = []
-    owner = {}
-    for idx, edges in enumerate(FIGURE_CLASS_EDGES, start=1):
-        m0 = _edges_to_mask(edges)
-        plain = set()
-        for mp in _PERM_MAPS:
-            plain.add(_apply_bit_map(m0, mp))
-        orbit = set(plain)
-        for pm in plain:
-            orbit.add(FULL_MASK ^ pm)
-        self_comp = (FULL_MASK ^ m0) in plain
-        for pm in orbit:
-            assert pm not in owner, "orbits of classes %d and %d overlap" % (owner[pm], idx)
-            owner[pm] = idx
-        classes.append(PartitionClass(
-            index=idx,
-            representative=Graph(5, list(edges)),
-            representative_mask=m0,
-            labelled_masks=tuple(sorted(orbit)),
-            self_complementary=self_comp,
-        ))
-    assert len(owner) == 1 << 10, "classes cover %d of 1024 patterns" % len(owner)
-    assert sum(1 for c in classes if c.self_complementary) == 2
-    return tuple(classes)
+    i, j = np.array(PAIRS5).T
+    bit = np.zeros((5, 5), dtype=np.int64)
+    bit[i, j] = bit[j, i] = 1 << np.arange(10)
+    perms = np.array(list(itertools.permutations(range(5))))
+    key = (_pattern_colours()[i, j].T @ bit[perms[:, i], perms[:, j]].T).min(axis=1)
+    orbit = np.minimum(key, key[::-1])
+    reps = [sum(int(bit[u, v]) for u, v in edges) for edges in FIGURE_CLASS_EDGES]
+    names = orbit[reps]
+    assert len(set(names.tolist())) == len(reps), "two representatives share an orbit"
+    covered = np.isin(orbit, names)
+    assert covered.all(), "classes cover %d of 1024 patterns" % covered.sum()
+    classes = tuple(PartitionClass(
+        index=idx,
+        representative=Graph(5, list(edges)),
+        representative_mask=m0,
+        labelled_masks=tuple(np.flatnonzero(orbit == orbit[m0]).tolist()),
+        self_complementary=bool(key[m0] == key[1023 - m0]),
+    ) for idx, (edges, m0) in enumerate(zip(FIGURE_CLASS_EDGES, reps), start=1))
+    assert sum(c.self_complementary for c in classes) == 2
+    return classes
 
 
 @lru_cache(maxsize=1)
@@ -162,8 +133,7 @@ def class_of_mask():
     """Array mapping each labelled pattern to its 1-based class index."""
     owner = np.zeros(1 << 10, dtype=np.int64)
     for cls in enumerate_partition_classes():
-        for pm in cls.labelled_masks:
-            owner[pm] = cls.index
+        owner[list(cls.labelled_masks)] = cls.index
     return owner
 
 
@@ -184,15 +154,6 @@ _ROW = {key: pos for pos, key in enumerate(EXPRESSION_KEYS)}
 # The five density-excess expressions: key -> (graph, prefactor), each
 # standing for prefactor * (m(graph) - 2^(1 - e(graph))).
 EXCESS = {1: ("h1", 480), 2: ("h2", 480), 3: ("c5", 48), "vA": ("h3", 480), "vB": ("h4", 960)}
-
-
-def _pattern_colours():
-    # int64 (5, 5, 1024): entry [i, j, P] is 1 when pair ij is black in P
-    masks = np.arange(1 << 10)
-    colours = np.zeros((5, 5, 1 << 10), dtype=np.int64)
-    for p, (i, j) in enumerate(PAIRS5):
-        colours[i, j] = colours[j, i] = (masks >> p) & 1
-    return colours
 
 
 def _one_colour_squares(c):
@@ -497,12 +458,7 @@ def _class_totals(values, weights, exact):
     multisets = list(itertools.combinations_with_replacement(range(k), 5))
     counts = np.array([120 // math.prod(math.factorial(a.count(p)) for p in set(a))
                        for a in multisets], dtype=V.dtype)
-    idx = np.array(multisets).T
-    acc = (counts * mu[idx].prod(axis=0))[:, None]
-    for i, j in PAIRS5:
-        x = V[idx[i], idx[j]][:, None]
-        acc = np.concatenate([acc * (den - x), acc * x], axis=1)
-    patterns = acc.sum(axis=0)
+    patterns = pattern_sums(V, mu, np.array(multisets).T, counts, den)
     totals = [patterns[c].sum() for c in _class_index_arrays()]
     if exact:
         scale = den ** 10 * wden ** 5

@@ -3,14 +3,17 @@ points, every colouring of a complete graph, every relabelling of a graph,
 or every gluing order of a graph's triangles, directly.  They share no
 code with the package's multiset, elimination, colouring-class,
 refinement and leaf-peeling routes, and are meant for small part and
-point counts."""
+point counts.  The one exception, pattern_classes_by_canonical_form,
+names the certificate's pattern classes by the package's refinement
+canonical form (itself checked against canonical_brute), which shares no
+code with the certificate's relabelling product."""
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from commonality.density import PAIRS5
-from commonality.graphs import Graph
+from commonality.graphs import Graph, canonical_form, complement
 from commonality.graphons import StepGraphon
 
 
@@ -66,6 +69,18 @@ def induced_pattern_vector_exact(w: StepGraphon):
         for mask in range(1024):
             out[mask] += weight * vals[mask]
     return out
+
+
+def pattern_classes_by_canonical_form(representatives):
+    """1-based class of each of the 1024 labelled 5-point patterns (pair
+    bitmask over PAIRS5): the position of the representative that the
+    pattern's black graph, or its white graph, is isomorphic to."""
+    names = {}
+    for index, rep in enumerate(representatives, start=1):
+        for g in (rep, complement(rep)):
+            assert names.setdefault(canonical_form(g), index) == index
+    return [names[canonical_form(Graph(5, [PAIRS5[p] for p in range(10) if mask >> p & 1]))]
+            for mask in range(1024)]
 
 
 def canonical_brute(g: Graph):

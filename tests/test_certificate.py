@@ -11,6 +11,7 @@ import pytest
 
 from commonality.certificate import (
     EXPRESSION_KEYS,
+    TARGET_COLUMNS,
     _coefficient_matrix,
     _float_coefficient_matrix,
     check_derivation,
@@ -37,6 +38,7 @@ from commonality.graphons import (
     random_graphon,
     random_suite,
 )
+from oracles import pattern_classes_by_canonical_form
 
 RATIONAL_W = StepGraphon([[F(1, 3), F(2, 3)], [F(2, 3), F(1, 5)]], [F(1, 4), F(3, 4)])
 
@@ -59,6 +61,12 @@ def test_representatives_are_the_expected_graphs():
     assert are_isomorphic(drop_isolated(classes[12].representative), catalog("c4"))
     assert are_isomorphic(drop_isolated(classes[7].representative), catalog("p4"))
     assert are_isomorphic(drop_isolated(classes[1].representative), catalog("k2"))
+
+
+def test_class_assignment_matches_canonical_forms():
+    # the orbit product against graph isomorphism, pattern by pattern
+    reps = [cls.representative for cls in enumerate_partition_classes()]
+    assert class_of_mask().tolist() == pattern_classes_by_canonical_form(reps)
 
 
 def test_class_assignment_is_complement_invariant():
@@ -242,8 +250,7 @@ def test_certificate_identity_pointwise():
     cert = load_certificate()
     wa = np.array([float(x) for x in cert.weights_a])
     wb = np.array([float(x) for x in cert.weights_b])
-    keep_a = [j for j in range(16) if j != 15]
-    keep_b = [j for j in range(16) if j != 14]
+    keep_a, keep_b = list(TARGET_COLUMNS["vA"]), list(TARGET_COLUMNS["vB"])
     pos_a = EXPRESSION_KEYS.index("vA")
     pos_b = EXPRESSION_KEYS.index("vB")
     for w in random_suite(30, 402) + corner_graphons():

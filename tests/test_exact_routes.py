@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import commonality
 from commonality.certificate import (
     EXPRESSION_KEYS,
+    TARGET_COLUMNS,
     coefficient_vector,
     evaluate_expression,
     load_certificate,
@@ -139,8 +140,7 @@ def test_certificate_identity_exact():
     # x_A . (F_j)_{j != 16} == F_vA and x_B . (F_j)_{j != 15} == F_vB as
     # Fraction equalities, with every column nonnegative
     cert = load_certificate()
-    keep_a = [j for j in range(16) if j != 15]
-    keep_b = [j for j in range(16) if j != 14]
+    keep_a, keep_b = TARGET_COLUMNS["vA"], TARGET_COLUMNS["vB"]
     pos_a = EXPRESSION_KEYS.index("vA")
     pos_b = EXPRESSION_KEYS.index("vB")
     rng = random.Random(1906)
