@@ -5,21 +5,24 @@ factor on two vertex variables, vertices are summed out in a low-fill order,
 and everything is vectorized over a batch of kernels with the same part
 count.  Each (graph, part count) is compiled once into a cached plan of
 elimination steps, with the batch as the last axis of every array: a
-contraction copies its (B, k, k) batch once into a contiguous (k, k, B)
-array, so every broadcast product and every sum runs its innermost loop
-over the B kernels rather than over a vertex axis of length k.  The
-batched functions pack each part-count group of their input once into
-float arrays and take the complement 1 - w and the signed kernel 2w - 1 on
-those arrays, without building kernel objects.
-A single kernel is a batch of two through the same elimination: w and
-1 - w together, so t_hom, t_complement and m read one contraction, and
-t_signed is a batch of one.  Float kernels contract in float64.  Exact
-kernels contract in Python integers over common denominators, values
-p/D and weights q/E, and divide once at the end, so a density costs
-k^(width+1) integer operations per eliminated vertex and one gcd.  Those
-single-kernel densities are cached on (graph, values, weights, exactness),
-so a battery that asks for the same density of one kernel many times
-contracts it once.
+contraction reads its (B, k, k) batch as a contiguous (k, k, B) array, so
+every broadcast product and every sum runs its innermost loop over the B
+kernels rather than over a vertex axis of length k.  The batched functions
+read one pack per suite: each suite is packed once and cached by value,
+keyed on its kernels, which hash and compare by their entries.  A pack
+holds each part-count group as float arrays already in that layout: the
+kernels w and the signed kernels 2w - 1, and m_many takes 1 - w on them in
+the same layout.  Reusing one suite list across the *_many calls packs it
+once, and no kernel objects are built.
+A single kernel is a batch of two through the same elimination, built in
+the same layout: w and 1 - w together, so t_hom, t_complement and m read
+one contraction, and t_signed is a batch of one.  Float kernels contract
+in float64.  Exact kernels contract in Python integers over common
+denominators, values p/D and weights q/E, and divide once at the end, so
+a density costs k^(width+1) integer operations per eliminated vertex and
+one gcd.  Those single-kernel densities are cached on (graph, values,
+weights, exactness), so a battery that asks for the same density of one
+kernel many times contracts it once.
 The plan also runs backwards on float batches: each step's vector-Jacobian
 product gives the gradients of its inputs and of the part weights, so the
 minimizer's partials need no enumeration of assignments either.  That walk
@@ -105,10 +108,11 @@ def _plan(g: Graph, k: int):
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Homomorphism density of g in a batch of kernels.
     V is (B, k, k), mu is (B, k); returns (B,) in V's dtype, so object arrays
-    of Fractions contract exactly.  Both are copied once into the plan's
-    batch-last layout, V as a contiguous (k, k, B) and mu as (k, B).
-    Isolated vertices contribute factor 1 since each weight vector sums
-    to 1."""
+    of Fractions contract exactly.  Both are read in the plan's batch-last
+    layout, V as a contiguous (k, k, B) and mu as (k, B): a batch given as
+    the transposed view of such arrays is read without a copy, any other
+    layout is copied into it once.  Isolated vertices contribute factor 1
+    since each weight vector sums to 1."""
     B, k = mu.shape
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
@@ -183,22 +187,39 @@ def _t_batch_grad(g: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
 
 
 def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Monochromatic density of g in a batch of float kernels."""
+    """Monochromatic density of g in a batch of float kernels.  1 - V keeps
+    V's memory layout, so a batch-last view stays one for both calls."""
     return _t_batch(g, V, mu) + _t_batch(g, 1.0 - V, mu)
 
 
-def _packed(kernels):
-    """Kernels grouped by part count, each group packed once: yields
-    (indices, V, mu) with V (B, k, k) and mu (B, k) in float64."""
+@lru_cache(maxsize=4)
+def _packed(kernels: tuple):
+    """The suite kernels grouped by part count and packed once: a tuple of
+    (idxs, V, mu, U) per group, with idxs (B,) its positions in the suite,
+    V (B, k, k) the kernels, mu (B, k) their weights and U (B, k, k) the
+    signed kernels 2V - 1, all read-only float64 transposed views of
+    contiguous batch-last arrays, so _t_batch reads them without a copy.
+    Cached by value: kernels hash and compare by their entries, so a list
+    changed in place makes a new key and no stale pack is read.  Four
+    entries hold the suites a sweep or a certificate check reuses."""
     by_k = {}
     for i, w in enumerate(kernels):
         by_k.setdefault(w.k, []).append(i)
     flat = itertools.chain.from_iterable
+    groups = []
     for k, idxs in by_k.items():
+        B = len(idxs)
         group = [kernels[i] for i in idxs]
-        V = np.fromiter(flat(flat(w.values for w in group)), np.float64, len(group) * k * k)
-        mu = np.fromiter(flat(w.weights for w in group), np.float64, len(group) * k)
-        yield idxs, V.reshape(-1, k, k), mu.reshape(-1, k)
+        V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
+        mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
+        V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
+        mu = np.ascontiguousarray(mu.reshape(B, k).T)
+        arrays = (V, mu, 2.0 * V - 1.0)
+        idxs = np.array(idxs)
+        for a in (idxs,) + arrays:
+            a.flags.writeable = False
+        groups.append((idxs,) + tuple(np.moveaxis(a, -1, 0) for a in arrays))
+    return tuple(groups)
 
 
 def integer_kernel(values, weights):
@@ -229,11 +250,19 @@ def _densities(g: Graph, values, weights, exact: bool, pair: bool):
         if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
             raise ValueError("exact evaluation too large: %d parts at elimination width %d"
                              % (k, width))
-        V, mu, D, E = integer_kernel(values, weights)
+        P, q, D, E = integer_kernel(values, weights)
     else:
-        V, mu, D = np.array(values, dtype=np.float64), np.array(weights, dtype=np.float64), 1.0
-    batch = np.stack([V, D - V]) if pair else V[None]
-    t = _t_batch(g, batch, np.broadcast_to(mu, (len(batch), k)))
+        P, q, D = np.array(values, dtype=np.float64), np.array(weights, dtype=np.float64), 1.0
+    # the batch of one or two in _t_batch's batch-last layout, (k, k, B)
+    # and (k, B), so that it reads their transposed views without a copy
+    if pair:
+        V = np.empty((k, k, 2), dtype=P.dtype)
+        V[..., 0] = P
+        np.subtract(D, P, out=V[..., 1])
+        mu = q[:, None].repeat(2, axis=1)
+    else:
+        V, mu = P[..., None], q[:, None]
+    t = _t_batch(g, V.transpose(2, 0, 1), mu.T)
     if exact:
         scale = D ** g.e * E ** len(steps)
         return tuple(Fraction(x, scale) for x in t)
@@ -257,7 +286,7 @@ def t_signed(g: Graph, u: SignedStepGraphon):
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
     out = np.empty(len(graphons))
-    for idxs, V, mu in _packed(graphons):
+    for idxs, V, mu, _ in _packed(tuple(graphons)):
         out[idxs] = _t_batch(g, V, mu)
     return out
 
@@ -274,7 +303,7 @@ def m(g: Graph, w: StepGraphon):
 
 def m_many(g: Graph, graphons) -> np.ndarray:
     out = np.empty(len(graphons))
-    for idxs, V, mu in _packed(graphons):
+    for idxs, V, mu, _ in _packed(tuple(graphons)):
         out[idxs] = _m_batch(g, V, mu)
     return out
 
@@ -291,8 +320,7 @@ def expansion_value_many(g: Graph, graphons) -> np.ndarray:
     ex = even_expansion(g)
     scale = float(Fraction(2) ** (1 - g.e))
     total = np.empty(len(graphons))
-    for idxs, V, mu in _packed(graphons):
-        U = 2.0 * V - 1.0
+    for idxs, _, mu, U in _packed(tuple(graphons)):
         part = np.zeros(len(idxs))
         for f, c in ex.items():
             part += float(c) * _t_batch(f, U, mu)

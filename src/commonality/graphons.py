@@ -4,6 +4,7 @@ A kernel is stored as a symmetric k x k matrix of part-pair values plus a
 vector of part weights (nonnegative, summing to 1).  Entries may be exact
 (int / Fraction) or floating; a kernel is "exact" only when every value and
 weight is exact, and exact kernels keep Fraction arithmetic end to end.
+Kernels are immutable and hash by value, so a suite of them can key a cache.
 """
 from __future__ import annotations
 
@@ -21,12 +22,17 @@ def _exact_num(x):
 
 
 class StepGraphon:
-    """Symmetric step kernel with values in [0, 1]."""
+    """Symmetric step kernel with values in [0, 1].
+
+    Immutable: every attribute is set once in __init__, and the hash is
+    computed there, over the type, values and weights that __eq__ compares.
+    An exact kernel and a float kernel with equal entries are equal and
+    hash equal."""
 
     lo = 0
     hi = 1
 
-    __slots__ = ("k", "values", "weights", "exact")
+    __slots__ = ("k", "values", "weights", "exact", "_hash")
 
     def __init__(self, values, weights=None):
         rows = [list(r) for r in values]
@@ -66,10 +72,17 @@ class StepGraphon:
             if not x >= 0:
                 raise ValueError("negative part weight")
 
-        self.k = k
-        self.values = tuple(tuple(r) for r in rows)
-        self.weights = tuple(weights)
-        self.exact = exact
+        values = tuple(tuple(r) for r in rows)
+        weights = tuple(weights)
+        for name, value in (("k", k), ("values", values), ("weights", weights),
+                            ("exact", exact), ("_hash", hash((type(self), values, weights)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def as_arrays(self):
         """(values, weights) as float64 numpy arrays."""
@@ -89,6 +102,9 @@ class StepGraphon:
             and self.values == other.values
             and self.weights == other.weights
         )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, exact={self.exact})"

@@ -15,6 +15,7 @@ from commonality.graphons import (
 )
 from commonality.density import (
     PAIRS5,
+    _packed,
     _t_batch,
     elimination_order,
     expansion_value,
@@ -149,6 +150,48 @@ def test_many_matches_single():
         for f, c in even_expansion(g).items():
             total += float(c) * t_signed_many(f, signed)
         assert np.array_equal(xs[:n], float(Fraction(2) ** (1 - g.e)) * total)
+
+
+def _many(g, suite):
+    return (t_hom_many(g, suite), m_many(g, suite), expansion_value_many(g, suite),
+            t_signed_many(g, [w.signed() for w in suite]))
+
+
+def test_suite_pack_is_cached_and_read_without_copies():
+    suite = random_suite(30, seed=8, ks=(1, 2, 3, 4)) + corner_graphons()
+    first = _many(catalog("jst"), suite)
+    hits = _packed.cache_info().hits
+    again = _many(catalog("jst"), suite)
+    # three calls on the suite itself hit its pack; the signed list is
+    # rebuilt, but its kernels are equal, so it hits too
+    assert _packed.cache_info().hits == hits + 4
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    for idxs, V, mu, U in _packed(tuple(suite)):
+        assert not any(a.flags.writeable for a in (idxs, V, mu, U))
+        # each view _t_batch turns back into batch-last is contiguous, and
+        # so is the complement m_many takes
+        for a in (V, mu, U, 1.0 - V):
+            assert len(a) == len(idxs) and np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
+def test_many_after_the_suite_list_changes_in_place():
+    suite = random_suite(20, seed=11, ks=(1, 2, 3, 4)) + corner_graphons()
+    g = catalog("diamond")
+    _many(g, suite)
+    rng = random.Random(11)
+    for change in ("shuffle", "replace", "append"):
+        if change == "shuffle":
+            rng.shuffle(suite)
+        elif change == "replace":
+            suite[3] = random_suite(1, seed=12, ks=(3,))[0]
+        else:
+            suite.append(half().one_minus())
+        ts, ms, xs, ss = _many(g, suite)
+        for i, w in enumerate(suite):
+            assert abs(ts[i] - t_hom(g, w)) < 1e-12, change
+            assert abs(ms[i] - m(g, w)) < 1e-12, change
+            assert abs(xs[i] - expansion_value(g, w)) < 1e-12, change
+            assert abs(ss[i] - t_signed(g, w.signed())) < 1e-12, change
 
 
 def test_elimination_order_widths():

@@ -58,6 +58,30 @@ def test_one_minus_and_signed():
         u.one_minus()
 
 
+def test_kernels_are_immutable():
+    for w in (half(), StepGraphon([[0.25]]), half().signed()):
+        for name, value in (("k", 2), ("values", ((0,),)), ("exact", False), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(w, name, value)
+        with pytest.raises(AttributeError):
+            del w.weights
+
+
+def test_equal_kernels_hash_equal():
+    exact = StepGraphon([[Fraction(1, 4), Fraction(1, 2)], [Fraction(1, 2), 1]],
+                        [Fraction(3, 8), Fraction(5, 8)])
+    twin = StepGraphon([[0.25, 0.5], [0.5, 1.0]], [0.375, 0.625])
+    assert exact.exact and not twin.exact
+    assert exact == twin and hash(exact) == hash(twin)
+    assert half() == constant_graphon(0.5) and hash(half()) == hash(constant_graphon(0.5))
+    assert len({exact, twin, StepGraphon(exact.values, exact.weights)}) == 1
+    # a signed kernel with the same entries is another kernel
+    signed = SignedStepGraphon(exact.values, exact.weights)
+    assert signed != exact and len({exact, signed}) == 2
+    a, b = random_suite(6, seed=5), random_suite(6, seed=5)
+    assert [hash(x) for x in a] == [hash(y) for y in b] and hash(tuple(a)) == hash(tuple(b))
+
+
 def test_block_graphon():
     w = block_graphon(catalog("k3"))
     assert w.k == 3 and w.exact

@@ -1,0 +1,22 @@
+"""The layer-timing script in tools/ keeps running: one quick pass gives
+every figure it prints."""
+import importlib.util
+import json
+import os
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "tools", "layer_times.py")
+
+
+def test_layer_times_runs():
+    spec = importlib.util.spec_from_file_location("layer_times", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    times = json.loads(json.dumps(mod.layer_times(repeat=1, number=1)))
+    assert times["suite_size"] == 1000
+    for key in ("pack_miss_us", "pack_hit_us", "cache_key_us"):
+        assert times[key] > 0, key
+    assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
+    for by_size in times["t_batch_us"].values():
+        assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]
+        assert all(t > 0 for t in by_size.values())

@@ -1,0 +1,59 @@
+"""Time the batched density layer piece by piece and print one JSON object.
+
+    PYTHONPATH=src python tools/layer_times.py
+
+Every figure is the median of timeit repeats, in microseconds per call, on
+a seeded suite of float kernels with 2, 3 and 4 parts (perfbench's
+suite-sweep suite at seed 1):
+
+- pack_miss_us: density._packed on a cold cache, 1000 kernels;
+- pack_hit_us: the same call with the pack cached, key included;
+- cache_key_us: building and hashing the tuple that keys the cache;
+- t_batch_us: density._t_batch on three graphs at batch sizes 1, 32 and
+  1000, with 3-part kernels in the batch-last layout the pack holds.
+"""
+from __future__ import annotations
+
+import json
+import statistics
+import timeit
+
+from commonality import density, graphons, graphs
+
+SUITE_SIZE = 1000
+BATCH_SIZES = (1, 32, 1000)
+GRAPHS = ("k3", "c5", "k4")
+
+
+def _median_us(fn, number, repeat):
+    return round(statistics.median(timeit.repeat(fn, number=number, repeat=repeat))
+                 / number * 1e6, 2)
+
+
+def layer_times(repeat=15, number=20):
+    suite = graphons.random_suite(SUITE_SIZE, 1)
+
+    def miss():
+        density._packed.cache_clear()
+        density._packed(tuple(suite))
+
+    times = {
+        "suite_size": SUITE_SIZE,
+        "pack_miss_us": _median_us(miss, 1, repeat),
+        "cache_key_us": _median_us(lambda: hash(tuple(suite)), number, repeat),
+    }
+    density._packed(tuple(suite))
+    times["pack_hit_us"] = _median_us(lambda: density._packed(tuple(suite)), number, repeat)
+    # (V, mu) of one 3-part group per batch size
+    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,))))[0][1:3]
+               for B in BATCH_SIZES}
+    times["t_batch_us"] = {
+        name: {str(B): _median_us(lambda g=graphs.catalog(name), V=V, mu=mu:
+                                  density._t_batch(g, V, mu), number, repeat)
+               for B, (V, mu) in batches.items()}
+        for name in GRAPHS}
+    return times
+
+
+if __name__ == "__main__":
+    print(json.dumps(layer_times(), indent=1))
