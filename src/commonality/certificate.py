@@ -568,11 +568,11 @@ def conclude_commonality(cert=None, count=60, seed=2026,
     density floor on every graphon tested, and the exact decomposition
     guarantees it for all graphons.
     """
+    suite = random_suite(count, seed) + corner_graphons()
     if cert is None:
         cert = load_certificate()
     mismatches = tuple(check_derivation(cert))
     lin = verify_linear_algebra(cert)
-    suite = random_suite(count, seed) + corner_graphons()
     # one class enumeration per kernel, shared with the cross-validation
     totals = np.array([class_density_totals(w) for w in suite])
     vals = totals @ _class_mean_matrix().T.astype(np.float64)

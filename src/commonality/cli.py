@@ -9,6 +9,7 @@ a kernel text file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -179,13 +180,20 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and at least 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # each verb takes only the shared flags its handler reads
     exact = argparse.ArgumentParser(add_help=False)
     exact.add_argument("--exact", action="store_true",
                        help="rational arithmetic; needs fraction-valued inputs")
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tolerance", type=float, default=1e-9)
+    tolerance.add_argument("--tolerance", type=_tolerance, default=1e-9)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=2026)
 

@@ -10,10 +10,17 @@ every broadcast product and every sum runs its innermost loop over the B
 kernels rather than over a vertex axis of length k.  The batched functions
 read one pack per suite: each suite is packed once and cached by value,
 keyed on its kernels, which hash and compare by their entries.  A pack
-holds each part-count group as float arrays already in that layout: the
-kernels w and the signed kernels 2w - 1, and m_many takes 1 - w on them in
-the same layout.  Reusing one suite list across the *_many calls packs it
-once, and no kernel objects are built.
+holds each part-count group as float arrays already in that layout, in
+three colours: w, 1 - w and 2w - 1.  It also holds the suite's density
+table: the (N,) density of one graph in one colour is contracted once per
+group, stored read-only and read after that.  t_hom_many, m_many,
+t_signed_many and expansion_value_many are reads of that table, so m_many
+after t_hom_many contracts only 1 - w, and the expansions of a sweep
+contract each subgraph class they share once.  The table keeps 128
+entries, about 1 MB on a 1000-kernel suite, and lives with its pack:
+_packed's four entries bound its memory, and evicting a pack frees its
+densities.  Reusing one suite list across the *_many calls packs it once,
+and no kernel objects are built.
 A single kernel is a batch of two through the same elimination, built in
 the same layout: w and 1 - w together, so t_hom, t_complement and m read
 one contraction, and t_signed is a batch of one.  Float kernels contract
@@ -40,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -192,34 +199,65 @@ def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return _t_batch(g, V, mu) + _t_batch(g, 1.0 - V, mu)
 
 
+# the colours a pack holds each group in, and the keys of its density table
+COLOURS = ("w", "1-w", "2w-1")
+
+
+def _contract(groups, n, g, colour):
+    """The (n,) density of g in one colour of a packed suite, one _t_batch
+    call per part-count group, returned read-only."""
+    out = np.empty(n)
+    for idxs, mu, colours in groups:
+        out[idxs] = _t_batch(g, colours[colour], mu)
+    out.flags.writeable = False
+    return out
+
+
+class _Pack:
+    """A suite grouped by part count and packed once, with its density table.
+
+    groups is a tuple of (idxs, mu, colours) per part count: idxs (B,) the
+    group's positions in the suite, mu (B, k) the weights and colours a
+    dict from each of COLOURS to the (B, k, k) kernels w, 1 - w and 2w - 1,
+    all read-only float64 transposed views of contiguous batch-last arrays,
+    so _t_batch reads them without a copy.  density(g, colour) is the table:
+    an LRU cache of read-only (n,) arrays, each contracted once per group.
+    128 entries hold the ~70 (graph, colour) requests of an inequality
+    battery over a suite, plus the subgraph classes that the expansions of
+    neighbouring graphs share: about 1 MB on a 1000-kernel suite.  The
+    cache closes over the groups, not over the pack, so dropping the pack
+    frees its densities at once."""
+
+    def __init__(self, kernels: tuple):
+        by_k = {}
+        for i, w in enumerate(kernels):
+            by_k.setdefault(w.k, []).append(i)
+        flat = itertools.chain.from_iterable
+        groups = []
+        for k, members in by_k.items():
+            B = len(members)
+            group = [kernels[i] for i in members]
+            V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
+            mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
+            V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
+            mu = np.ascontiguousarray(mu.reshape(B, k).T)
+            idxs = np.array(members)
+            arrays = (mu, V, 1.0 - V, 2.0 * V - 1.0)
+            for a in (idxs,) + arrays:
+                a.flags.writeable = False
+            mu, *kernel_colours = (np.moveaxis(a, -1, 0) for a in arrays)
+            groups.append((idxs, mu, dict(zip(COLOURS, kernel_colours))))
+        self.groups = tuple(groups)
+        self.density = lru_cache(maxsize=128)(partial(_contract, self.groups, len(kernels)))
+
+
 @lru_cache(maxsize=4)
-def _packed(kernels: tuple):
-    """The suite kernels grouped by part count and packed once: a tuple of
-    (idxs, V, mu, U) per group, with idxs (B,) its positions in the suite,
-    V (B, k, k) the kernels, mu (B, k) their weights and U (B, k, k) the
-    signed kernels 2V - 1, all read-only float64 transposed views of
-    contiguous batch-last arrays, so _t_batch reads them without a copy.
-    Cached by value: kernels hash and compare by their entries, so a list
-    changed in place makes a new key and no stale pack is read.  Four
-    entries hold the suites a sweep or a certificate check reuses."""
-    by_k = {}
-    for i, w in enumerate(kernels):
-        by_k.setdefault(w.k, []).append(i)
-    flat = itertools.chain.from_iterable
-    groups = []
-    for k, idxs in by_k.items():
-        B = len(idxs)
-        group = [kernels[i] for i in idxs]
-        V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
-        mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
-        V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
-        mu = np.ascontiguousarray(mu.reshape(B, k).T)
-        arrays = (V, mu, 2.0 * V - 1.0)
-        idxs = np.array(idxs)
-        for a in (idxs,) + arrays:
-            a.flags.writeable = False
-        groups.append((idxs,) + tuple(np.moveaxis(a, -1, 0) for a in arrays))
-    return tuple(groups)
+def _packed(kernels: tuple) -> _Pack:
+    """The _Pack of a suite, cached by value: kernels hash and compare by
+    their entries, so a list changed in place makes a new key and no stale
+    pack is read.  Four entries hold the suites a sweep or a certificate
+    check reuses, and bound the density tables kept alive with them."""
+    return _Pack(kernels)
 
 
 def integer_kernel(values, weights):
@@ -285,10 +323,7 @@ def t_signed(g: Graph, u: SignedStepGraphon):
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
-    out = np.empty(len(graphons))
-    for idxs, V, mu, _ in _packed(tuple(graphons)):
-        out[idxs] = _t_batch(g, V, mu)
-    return out
+    return _packed(tuple(graphons)).density(g, "w").copy()
 
 
 def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
@@ -302,10 +337,8 @@ def m(g: Graph, w: StepGraphon):
 
 
 def m_many(g: Graph, graphons) -> np.ndarray:
-    out = np.empty(len(graphons))
-    for idxs, V, mu, _ in _packed(tuple(graphons)):
-        out[idxs] = _m_batch(g, V, mu)
-    return out
+    pack = _packed(tuple(graphons))
+    return pack.density(g, "w") + pack.density(g, "1-w")
 
 
 def expansion_value(g: Graph, w: StepGraphon):
@@ -317,15 +350,11 @@ def expansion_value(g: Graph, w: StepGraphon):
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:
-    ex = even_expansion(g)
-    scale = float(Fraction(2) ** (1 - g.e))
-    total = np.empty(len(graphons))
-    for idxs, _, mu, U in _packed(tuple(graphons)):
-        part = np.zeros(len(idxs))
-        for f, c in ex.items():
-            part += float(c) * _t_batch(f, U, mu)
-        total[idxs] = part
-    return scale * total
+    pack = _packed(tuple(graphons))
+    total = np.zeros(len(graphons))
+    for f, c in even_expansion(g).items():
+        total += float(c) * pack.density(f, "2w-1")
+    return float(Fraction(2) ** (1 - g.e)) * total
 
 
 def pattern_sums(V, mu, idx, counts, den) -> np.ndarray:

@@ -185,6 +185,8 @@ def format_graphon(w: StepGraphon) -> str:
 def random_graphon(k: int, rng: np.random.Generator) -> StepGraphon:
     """Entries i.i.d. uniform on [0,1] (symmetrized), weights a random point
     of the simplex bounded away from degenerate parts."""
+    if k < 1:
+        raise ValueError(f"a kernel needs at least one part, got {k}")
     raw = rng.random((k, k))
     vals = np.triu(raw) + np.triu(raw, 1).T
     wraw = rng.random(k) + 0.1
@@ -193,6 +195,8 @@ def random_graphon(k: int, rng: np.random.Generator) -> StepGraphon:
 
 
 def random_suite(count: int, seed: int, ks=(2, 3, 4)):
+    if count < 0:
+        raise ValueError(f"suite size must be at least 0, got {count}")
     rng = np.random.default_rng(seed)
     return [random_graphon(ks[i % len(ks)], rng) for i in range(count)]
 

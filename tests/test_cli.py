@@ -1,4 +1,5 @@
 """End-to-end runs of the command line front door, in process."""
+import ast
 import os
 import shutil
 import subprocess
@@ -160,6 +161,21 @@ def test_block_kernel_shorthand(tmp_path, capsys):
     assert out.strip() == "7/25"
 
 
+# suite sizes, part counts and tolerances out of range are bad input; each
+# run comes with a piece of the error message, which names the value
+BAD_NUMBER_RUNS = [
+    (["inequalities", "--suite", "-3"], "got -3"),
+    (["verify-certificate", "--suite", "-1"], "got -1"),
+    (["m", "k3", "--graphon", "random:-2:1"], "got -2"),
+    (["m", "k3", "--graphon", "random:0:1"], "got 0"),
+    (["expand-check", "k3", "--graphon", "half", "--tolerance", "-1"], "got -1"),
+    (["expand-check", "k3", "--graphon", "half", "--tolerance", "nan"], "got nan"),
+    (["inequalities", "--graphon", "half", "--tolerance=-1e-3"], "got -1e-3"),
+    (["inequalities", "--suite", "1", "--tolerance", "inf"], "got inf"),
+    (["verify-certificate", "--tolerance=-inf"], "got -inf"),
+]
+
+
 def test_parse_errors_exit_two(capsys):
     assert run(capsys, "m", "nosuchgraph", "--graphon", "half")[0] == 2
     assert run(capsys, "m", "k3", "--graphon", "random:badspec")[0] == 2
@@ -173,6 +189,10 @@ def test_parse_errors_exit_two(capsys):
     # a suite sweeps float kernels, so --exact without --graphon is not honoured
     code, out, err = run(capsys, "inequalities", "--exact", "--suite", "3")
     assert (code, out) == (2, "") and "--graphon" in err
+    for argv, message in BAD_NUMBER_RUNS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, (argv, err)
 
 
 def test_bad_kernels_exit_two_under_optimize(tmp_path):
@@ -203,17 +223,17 @@ def test_bad_graphs_exit_two(capsys):
         assert err.startswith("error: ") and err.strip() != "error:", argv
 
 
-def test_bad_graphs_exit_two_under_optimize():
-    # catalog parameters and the expansion cap must survive python -O, which
-    # strips assert statements; one process runs every case
+def _run_under_optimize(runs):
+    """(code, stdout, stderr) of main(argv) for each argv, all in one
+    python -O process, which strips assert statements."""
     script = "\n".join([
         "import contextlib, io",
         "from commonality.cli import main",
-        "for argv in %r:" % BAD_GRAPH_RUNS,
+        "for argv in %r:" % runs,
         "    out, err = io.StringIO(), io.StringIO()",
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
         "        code = main(argv)",
-        "    print(code, repr(out.getvalue()), repr(err.getvalue().strip()))",
+        "    print(repr((code, out.getvalue(), err.getvalue().strip())))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
     env = dict(os.environ)
@@ -221,12 +241,24 @@ def test_bad_graphs_exit_two_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == len(BAD_GRAPH_RUNS)
-    for argv, line in zip(BAD_GRAPH_RUNS, lines):
-        code, out, err = line.split(" ", 2)
-        assert (code, out) == ("2", "''"), (argv, line)
-        assert err.startswith("'error: ") and err != "'error:'", (argv, line)
+    results = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(runs)
+    return results
+
+
+def test_bad_graphs_exit_two_under_optimize():
+    # catalog parameters and the expansion cap must survive python -O
+    for argv, (code, out, err) in zip(BAD_GRAPH_RUNS, _run_under_optimize(BAD_GRAPH_RUNS)):
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err != "error:", (argv, err)
+
+
+def test_bad_numbers_exit_two_under_optimize():
+    # so must the checks on suite sizes, part counts and tolerances
+    runs = [argv for argv, _ in BAD_NUMBER_RUNS]
+    for (argv, message), (code, out, err) in zip(BAD_NUMBER_RUNS, _run_under_optimize(runs)):
+        assert (code, out) == (2, ""), argv
+        assert message in err, (argv, err)
 
 
 def test_internal_failure_is_not_bad_input(monkeypatch):

@@ -1,8 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from commonality.graphs import Graph, catalog, complement, even_expansion
 from commonality.graphons import (
@@ -13,7 +17,9 @@ from commonality.graphons import (
     half,
     random_suite,
 )
+from commonality import density
 from commonality.density import (
+    COLOURS,
     PAIRS5,
     _packed,
     _t_batch,
@@ -166,12 +172,107 @@ def test_suite_pack_is_cached_and_read_without_copies():
     # rebuilt, but its kernels are equal, so it hits too
     assert _packed.cache_info().hits == hits + 4
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    for idxs, V, mu, U in _packed(tuple(suite)):
-        assert not any(a.flags.writeable for a in (idxs, V, mu, U))
-        # each view _t_batch turns back into batch-last is contiguous, and
-        # so is the complement m_many takes
-        for a in (V, mu, U, 1.0 - V):
+    for idxs, mu, colours in _packed(tuple(suite)).groups:
+        assert sorted(colours) == sorted(COLOURS)
+        arrays = (idxs, mu) + tuple(colours.values())
+        assert not any(a.flags.writeable for a in arrays)
+        # each view _t_batch turns back into batch-last is contiguous
+        for a in arrays[1:]:
             assert len(a) == len(idxs) and np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
+def _shuffled_suite(seed):
+    floats = random_suite(24, seed=seed, ks=(1, 2, 3, 4))
+    random.Random(seed).shuffle(floats)
+    return floats + corner_graphons()
+
+
+def _per_group(g, suite, colour):
+    """The density of g in one colour of the suite, one _t_batch call per
+    part count on kernels stacked batch-first from the kernel objects."""
+    out = np.empty(len(suite))
+    for k in {w.k for w in suite}:
+        idxs = [i for i, w in enumerate(suite) if w.k == k]
+        V = np.array([suite[i].values for i in idxs], dtype=np.float64)
+        mu = np.array([suite[i].weights for i in idxs], dtype=np.float64)
+        V = {"w": V, "1-w": 1.0 - V, "2w-1": 2.0 * V - 1.0}[colour]
+        out[idxs] = _t_batch(g, V, mu)
+    return out
+
+
+def test_density_table_cold_and_warm_match_per_group_contractions():
+    suite = _shuffled_suite(31)
+    for name in ("k3", "c5", "k4", "jst", "k3plus"):
+        g = catalog(name)
+        ref = {c: _per_group(g, suite, c) for c in COLOURS}
+        _packed.cache_clear()
+        pack = _packed(tuple(suite))
+        cold = {c: pack.density(g, c) for c in COLOURS}
+        assert pack.density.cache_info().misses == len(COLOURS)
+        warm = {c: pack.density(g, c) for c in COLOURS}
+        assert pack.density.cache_info().hits == len(COLOURS)
+        for c in COLOURS:
+            assert np.array_equal(cold[c], ref[c]) and warm[c] is cold[c], (name, c)
+        assert np.array_equal(t_hom_many(g, suite), ref["w"])
+        assert np.array_equal(m_many(g, suite), ref["w"] + ref["1-w"])
+        total = np.zeros(len(suite))
+        for f, c in even_expansion(g).items():
+            total += float(c) * _per_group(f, suite, "2w-1")
+        expected = float(Fraction(2) ** (1 - g.e)) * total
+        # on a cold table, then on a warm one
+        _packed.cache_clear()
+        assert np.array_equal(expansion_value_many(g, suite), expected), name
+        assert np.array_equal(expansion_value_many(g, suite), expected), name
+
+
+def test_expansion_reads_shared_subgraph_classes_from_the_table(monkeypatch):
+    suite = _shuffled_suite(32)
+    groups = len({w.k for w in suite})
+    first, second = catalog("diamond"), catalog("k3plus")
+    shared = set(even_expansion(first).terms) & set(even_expansion(second).terms)
+    assert len(shared) >= 3
+    _packed.cache_clear()
+    expansion_value_many(first, suite)
+    contracted = []
+
+    def counting(g, V, mu):
+        contracted.append(g)
+        return _t_batch(g, V, mu)
+
+    monkeypatch.setattr(density, "_t_batch", counting)
+    expansion_value_many(second, suite)
+    fresh = set(even_expansion(second).terms) - shared
+    assert Counter(contracted) == {f: groups for f in fresh}
+    # m_many after t_hom_many contracts only the complement
+    t_hom_many(second, suite)
+    del contracted[:]
+    m_many(second, suite)
+    assert len(contracted) == groups
+
+
+def test_writing_a_returned_array_leaves_the_table_alone():
+    suite = _shuffled_suite(33)
+    g = catalog("c5")
+    before = t_hom_many(g, suite)
+    for out in (t_hom_many(g, suite), m_many(g, suite), expansion_value_many(g, suite),
+                t_signed_many(g, suite)):
+        out[:] = -7.0
+    assert np.array_equal(t_hom_many(g, suite), before)
+    entry = _packed(tuple(suite)).density(g, "w")
+    assert not entry.flags.writeable
+    with pytest.raises(ValueError):
+        entry[0] = 0.0
+
+
+def test_evicting_a_pack_frees_its_densities():
+    suite = _shuffled_suite(34)
+    m_many(catalog("k3"), suite)
+    pack = _packed(tuple(suite))
+    refs = [weakref.ref(pack), weakref.ref(pack.density(catalog("k3"), "w"))]
+    del pack
+    _packed.cache_clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_many_after_the_suite_list_changes_in_place():

@@ -14,8 +14,13 @@ def test_layer_times_runs():
     spec.loader.exec_module(mod)
     times = json.loads(json.dumps(mod.layer_times(repeat=1, number=1)))
     assert times["suite_size"] == 1000
-    for key in ("pack_miss_us", "pack_hit_us", "cache_key_us"):
+    for key in ("pack_miss_us", "pack_hit_us", "cache_key_us", "table_hit_us"):
         assert times[key] > 0, key
+    sweep = times["catalog_sweep"]
+    assert sweep["graphs"] > 0 and sweep["ms"] > 0
+    # the graphs share subgraph classes, so the table serves some requests
+    # without a contraction
+    assert 0 < sweep["contractions"] < sweep["requests"]
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
     for by_size in times["t_batch_us"].values():
         assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]

@@ -9,8 +9,12 @@ suite-sweep suite at seed 1):
 - pack_miss_us: density._packed on a cold cache, 1000 kernels;
 - pack_hit_us: the same call with the pack cached, key included;
 - cache_key_us: building and hashing the tuple that keys the cache;
+- table_hit_us: reading one density the pack's table already holds;
 - t_batch_us: density._t_batch on three graphs at batch sizes 1, 32 and
-  1000, with 3-part kernels in the batch-last layout the pack holds.
+  1000, with 3-part kernels in the batch-last layout the pack holds;
+- catalog_sweep: expansion_value_many then m_many on every catalog graph
+  with at most 12 edges, starting from an empty density table: the table
+  requests, the contractions they cost and the milliseconds (a median).
 """
 from __future__ import annotations
 
@@ -42,17 +46,38 @@ def layer_times(repeat=15, number=20):
         "pack_miss_us": _median_us(miss, 1, repeat),
         "cache_key_us": _median_us(lambda: hash(tuple(suite)), number, repeat),
     }
-    density._packed(tuple(suite))
+    pack = density._packed(tuple(suite))
     times["pack_hit_us"] = _median_us(lambda: density._packed(tuple(suite)), number, repeat)
-    # (V, mu) of one 3-part group per batch size
-    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,))))[0][1:3]
+    k3 = graphs.catalog("k3")
+    pack.density(k3, "w")
+    times["table_hit_us"] = _median_us(lambda: pack.density(k3, "w"), number, repeat)
+    # (mu, colours) of one 3-part group per batch size
+    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,)))).groups[0][1:]
                for B in BATCH_SIZES}
     times["t_batch_us"] = {
-        name: {str(B): _median_us(lambda g=graphs.catalog(name), V=V, mu=mu:
+        name: {str(B): _median_us(lambda g=graphs.catalog(name), V=colours["w"], mu=mu:
                                   density._t_batch(g, V, mu), number, repeat)
-               for B, (V, mu) in batches.items()}
+               for B, (mu, colours) in batches.items()}
         for name in GRAPHS}
+    times["catalog_sweep"] = catalog_sweep(suite, repeat)
     return times
+
+
+def catalog_sweep(suite, repeat):
+    catalog = [g for _, g in graphs.catalog_all() if g.e <= 12]
+    table = density._packed(tuple(suite)).density
+
+    def sweep():
+        for g in catalog:
+            density.expansion_value_many(g, suite)
+            density.m_many(g, suite)
+
+    table.cache_clear()
+    sweep()
+    info = table.cache_info()
+    seconds = timeit.repeat(sweep, setup=table.cache_clear, number=1, repeat=repeat)
+    return {"graphs": len(catalog), "requests": info.hits + info.misses,
+            "contractions": info.misses, "ms": round(statistics.median(seconds) * 1e3, 2)}
 
 
 if __name__ == "__main__":
