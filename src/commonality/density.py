@@ -7,29 +7,31 @@ count.  Each (graph, part count) is compiled once into a cached plan of
 elimination steps, with the batch as the last axis of every array: a
 contraction reads its (B, k, k) batch as a contiguous (k, k, B) array, so
 every broadcast product and every sum runs its innermost loop over the B
-kernels rather than over a vertex axis of length k.  The batched functions
-read one pack per suite: each suite is packed once and cached by value,
-keyed on its kernels, which hash and compare by their entries.  A pack
-holds each part-count group as float arrays already in that layout, in
-three colours: w, 1 - w and 2w - 1.  It also holds the suite's density
-table: the (N,) density of one graph in one colour is contracted once per
-group, stored read-only and read after that.  t_hom_many, m_many,
-t_signed_many and expansion_value_many are reads of that table, so m_many
+kernels rather than over a vertex axis of length k.  Every density is a
+read of one density table on a pack.  A pack holds each part-count group
+of its kernels already in that layout, in three colours: w, 1 - w and
+2w - 1.  Its table contracts the density of one graph in one colour once
+per group, stores it read-only and reads it after that.
+A suite is packed once, as float64, and cached by value, keyed on its
+kernels, which hash and compare by their entries.  t_hom_many, m_many,
+t_signed_many and expansion_value_many are reads of its table, so m_many
 after t_hom_many contracts only 1 - w, and the expansions of a sweep
 contract each subgraph class they share once.  The table keeps 128
 entries, about 1 MB on a 1000-kernel suite, and lives with its pack:
 _packed's four entries bound its memory, and evicting a pack frees its
 densities.  Reusing one suite list across the *_many calls packs it once,
 and no kernel objects are built.
-A single kernel is a batch of two through the same elimination, built in
-the same layout: w and 1 - w together, so t_hom, t_complement and m read
-one contraction, and t_signed is a batch of one.  Float kernels contract
-in float64.  Exact kernels contract in Python integers over common
-denominators, values p/D and weights q/E, and divide once at the end, so
-a density costs k^(width+1) integer operations per eliminated vertex and
-one gcd.  Those single-kernel densities are cached on (graph, values,
-weights, exactness), so a battery that asks for the same density of one
-kernel many times contracts it once.
+A single kernel is the pack of the suite (w, 1 - w), so t_hom,
+t_complement and m read one contraction of a batch of two, and
+expansion_value reads the "2w-1" colour; a signed kernel is the pack of
+(u,) for t_signed.  Float kernels contract in float64.  Exact kernels
+contract in Python integers over each kernel's common denominators,
+values p/D and weights q/E, and divide once at the end, so a density
+costs k^(width+1) integer operations per eliminated vertex and one gcd.
+The last eight single-kernel packs are cached, so a battery that asks for
+the same density of one kernel many times contracts it once.  A
+contraction whose widest array would hold more than 2^20 integers or
+2^24 floats per kernel is refused with a ValueError.
 The plan also runs backwards on float batches: each step's vector-Jacobian
 product gives the gradients of its inputs and of the part weights, so the
 minimizer's partials need no enumeration of assignments either.  That walk
@@ -57,7 +59,6 @@ from .graphons import SignedStepGraphon, StepGraphon
 # pair order for 5-point patterns: bit p of a mask is the pair PAIRS5[p]
 PAIRS5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
-_EXACT_ASSIGNMENT_CAP = 1 << 20
 
 
 def elimination_order(g: Graph):
@@ -89,7 +90,7 @@ def _plan(g: Graph, k: int):
     vertex axis of length k.  A step multiplies its inputs, sums the vertex
     out against the weights and either appends the result as a new slot or,
     when no variable is left, multiplies it into the result.  width is
-    elimination_order's, for the exact-size guard.  512 entries keep the
+    elimination_order's, for the size guards.  512 entries keep the
     plans of a sweep's catalog graphs at every part count while fresh
     graphs pass through."""
     order, width = elimination_order(g)
@@ -165,7 +166,7 @@ def _t_batch_grad(g: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
         return np.ones(B), np.zeros((B, k, k)), dmu
     steps = [(tuple((i, (-1,) + shape[:-1]) for i, shape in inputs), (-1,) + weight_shape[:-1],
               axis + 1, scalar)
-             for inputs, weight_shape, axis, scalar in _plan(g, k)[0]]
+             for inputs, weight_shape, axis, scalar in _capped_plan(g, k, False)]
     slots = [V] * g.e
     tape, scalars = [], []
     for inputs, weight_shape, axis, scalar in steps:
@@ -202,33 +203,60 @@ def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
 # the colours a pack holds each group in, and the keys of its density table
 COLOURS = ("w", "1-w", "2w-1")
 
+# Caps on the widest array one kernel's contraction builds, k^(width+1)
+# entries.  Exact entries are Python integers; float ones are float64, and
+# 2^24 of them are 128 MB, past which numpy would fail with a memory error
+# rather than name the graph and part count as bad input.
+_EXACT_CAP = 1 << 20
+_FLOAT_CAP = 1 << 24
 
-def _contract(groups, n, g, colour):
-    """The (n,) density of g in one colour of a packed suite, one _t_batch
-    call per part-count group, returned read-only."""
-    out = np.empty(n)
-    for idxs, mu, colours in groups:
-        out[idxs] = _t_batch(g, colours[colour], mu)
+
+def _capped_plan(g: Graph, k: int, exact: bool):
+    """The steps of _plan(g, k), or ValueError when k^(width+1) is over the
+    exact or the float cap."""
+    steps, width = _plan(g, k)
+    if k ** (width + 1) > (_EXACT_CAP if exact else _FLOAT_CAP):
+        raise ValueError("%s evaluation too large: %d parts at elimination width %d"
+                         % ("exact" if exact else "float", k, width))
+    return steps
+
+
+def _contract(groups, n, exact, g, colour):
+    """The (n,) density of g in one colour of a pack, one _t_batch call per
+    part-count group, returned read-only.  An exact group contracts integers
+    and divides each kernel's entry by its D^e E^v once, v counting the
+    vertices the plan eliminates (isolated ones contribute 1)."""
+    out = np.empty(n, dtype=object if exact else np.float64)
+    for idxs, mu, colours, den in groups:
+        steps = _capped_plan(g, mu.shape[1], exact)
+        t = _t_batch(g, colours[colour], mu)
+        if exact:
+            D, E = den
+            t = [Fraction(x, d ** g.e * e ** len(steps)) for x, d, e in zip(t, D, E)]
+        out[idxs] = t
     out.flags.writeable = False
     return out
 
 
 class _Pack:
-    """A suite grouped by part count and packed once, with its density table.
+    """Kernels grouped by part count and packed once, with their density table.
 
-    groups is a tuple of (idxs, mu, colours) per part count: idxs (B,) the
-    group's positions in the suite, mu (B, k) the weights and colours a
+    groups is a tuple of (idxs, mu, colours, den) per part count: idxs (B,)
+    the group's positions in the suite, mu (B, k) the weights and colours a
     dict from each of COLOURS to the (B, k, k) kernels w, 1 - w and 2w - 1,
-    all read-only float64 transposed views of contiguous batch-last arrays,
-    so _t_batch reads them without a copy.  density(g, colour) is the table:
+    all read-only transposed views of contiguous batch-last arrays, so
+    _t_batch reads them without a copy.  Float packs hold float64 and den
+    None.  Exact packs put each kernel over its own common denominators
+    (integer_kernel): the colours are P, D - P and 2P - D, the weights q,
+    and den the (B,) object arrays (D, E).  density(g, colour) is the table:
     an LRU cache of read-only (n,) arrays, each contracted once per group.
     128 entries hold the ~70 (graph, colour) requests of an inequality
-    battery over a suite, plus the subgraph classes that the expansions of
-    neighbouring graphs share: about 1 MB on a 1000-kernel suite.  The
-    cache closes over the groups, not over the pack, so dropping the pack
-    frees its densities at once."""
+    battery, plus the subgraph classes that the expansions of neighbouring
+    graphs share: about 1 MB on a 1000-kernel suite.  The cache closes over
+    the groups, not over the pack, so dropping the pack frees its densities
+    at once."""
 
-    def __init__(self, kernels: tuple):
+    def __init__(self, kernels: tuple, exact: bool = False):
         by_k = {}
         for i, w in enumerate(kernels):
             by_k.setdefault(w.k, []).append(i)
@@ -237,27 +265,45 @@ class _Pack:
         for k, members in by_k.items():
             B = len(members)
             group = [kernels[i] for i in members]
-            V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
-            mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
+            if exact:
+                P, q, D, E = zip(*(integer_kernel(w.values, w.weights) for w in group))
+                V, mu, one = np.array(P), np.array(q), np.array(D, dtype=object)
+                den = (one, np.array(E, dtype=object))
+            else:
+                V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
+                mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
+                one, den = 1.0, None
             V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
             mu = np.ascontiguousarray(mu.reshape(B, k).T)
             idxs = np.array(members)
-            arrays = (mu, V, 1.0 - V, 2.0 * V - 1.0)
+            arrays = (mu, V, one - V, 2 * V - one)
             for a in (idxs,) + arrays:
                 a.flags.writeable = False
             mu, *kernel_colours = (np.moveaxis(a, -1, 0) for a in arrays)
-            groups.append((idxs, mu, dict(zip(COLOURS, kernel_colours))))
+            groups.append((idxs, mu, dict(zip(COLOURS, kernel_colours)), den))
         self.groups = tuple(groups)
-        self.density = lru_cache(maxsize=128)(partial(_contract, self.groups, len(kernels)))
+        self.density = lru_cache(maxsize=128)(
+            partial(_contract, self.groups, len(kernels), exact))
 
 
 @lru_cache(maxsize=4)
 def _packed(kernels: tuple) -> _Pack:
-    """The _Pack of a suite, cached by value: kernels hash and compare by
-    their entries, so a list changed in place makes a new key and no stale
-    pack is read.  Four entries hold the suites a sweep or a certificate
-    check reuses, and bound the density tables kept alive with them."""
+    """The float _Pack of a suite, cached by value: kernels hash and compare
+    by their entries, so a list changed in place makes a new key and no
+    stale pack is read.  Four entries hold the suites a sweep or a
+    certificate check reuses, and bound the density tables kept alive with
+    them."""
     return _Pack(kernels)
+
+
+@lru_cache(maxsize=8)
+def _kernel(w: StepGraphon, exact: bool) -> _Pack:
+    """The pack of one kernel: a [0, 1] kernel as the suite (w, 1 - w), so
+    t_hom, t_complement and m read one contraction of a batch of two, and
+    a signed kernel as (w,).  exact is part of the key because Fraction(1,
+    2) and 0.5 compare and hash equal.  Eight entries hold the two packs an
+    inequality battery reads, w and its signed kernel, for four kernels."""
+    return _Pack((w,) if isinstance(w, SignedStepGraphon) else (w, w.one_minus()), exact)
 
 
 def integer_kernel(values, weights):
@@ -272,54 +318,19 @@ def integer_kernel(values, weights):
     return P, q, D, E
 
 
-@lru_cache(maxsize=256)
-def _densities(g: Graph, values, weights, exact: bool, pair: bool):
-    """Density of g in one kernel given by its value and weight tuples, and
-    when pair is set in 1 - kernel as well: a tuple of one or two values
-    from one _t_batch call.  Exact kernels contract P and D - P against q
-    in integers and divide by D^e E^v once, v counting the vertices the
-    plan eliminates (isolated ones contribute 1).  exact is part of the
-    key because Fraction(1, 2) and 0.5 compare and hash equal.  256
-    entries hold the 33 contractions the inequality battery makes per
-    kernel seven times over."""
-    k = len(weights)
-    if exact:
-        steps, width = _plan(g, k)
-        if k ** (width + 1) > _EXACT_ASSIGNMENT_CAP:
-            raise ValueError("exact evaluation too large: %d parts at elimination width %d"
-                             % (k, width))
-        P, q, D, E = integer_kernel(values, weights)
-    else:
-        P, q, D = np.array(values, dtype=np.float64), np.array(weights, dtype=np.float64), 1.0
-    # the batch of one or two in _t_batch's batch-last layout, (k, k, B)
-    # and (k, B), so that it reads their transposed views without a copy
-    if pair:
-        V = np.empty((k, k, 2), dtype=P.dtype)
-        V[..., 0] = P
-        np.subtract(D, P, out=V[..., 1])
-        mu = q[:, None].repeat(2, axis=1)
-    else:
-        V, mu = P[..., None], q[:, None]
-    t = _t_batch(g, V.transpose(2, 0, 1), mu.T)
-    if exact:
-        scale = D ** g.e * E ** len(steps)
-        return tuple(Fraction(x, scale) for x in t)
-    return tuple(t.tolist())
-
-
 def t_hom(g: Graph, w: StepGraphon):
     """Homomorphism density t_g(w).  Exact kernels give Fraction results."""
-    return _densities(g, w.values, w.weights, w.exact, True)[0]
+    return _kernel(w, w.exact).density(g, "w").item(0)
 
 
 def t_complement(g: Graph, w: StepGraphon):
-    """t_g(1 - w), from the same contraction as t_hom, without building 1 - w."""
-    return _densities(g, w.values, w.weights, w.exact, True)[1]
+    """t_g(1 - w), from the same contraction as t_hom."""
+    return _kernel(w, w.exact).density(g, "w").item(1)
 
 
 def t_signed(g: Graph, u: SignedStepGraphon):
     """Same contraction against a [-1,1]-valued kernel; empty graph gives 1."""
-    return _densities(g, u.values, u.weights, u.exact, False)[0]
+    return _kernel(u, u.exact).density(g, "w").item(0)
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
@@ -332,7 +343,7 @@ def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
 
 def m(g: Graph, w: StepGraphon):
     """Monochromatic density: t_g(w) + t_g(1 - w)."""
-    t, tbar = _densities(g, w.values, w.weights, w.exact, True)
+    t, tbar = _kernel(w, w.exact).density(g, "w").tolist()
     return t + tbar
 
 
@@ -343,10 +354,11 @@ def m_many(g: Graph, graphons) -> np.ndarray:
 
 def expansion_value(g: Graph, w: StepGraphon):
     """m(g, w) recomputed through the even-subset expansion of g against the
-    signed kernel 2w - 1.  Equals m(g, w) exactly for exact kernels."""
-    u = w.signed()
+    signed kernel 2w - 1, read from the "2w-1" colour of w's pack.  Equals
+    m(g, w) exactly for exact kernels."""
+    density = _kernel(w, w.exact).density
     scale = Fraction(2) ** (1 - g.e)
-    return scale * sum(c * t_signed(f, u) for f, c in even_expansion(g).items())
+    return scale * sum(c * density(f, "2w-1").item(0) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:

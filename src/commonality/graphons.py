@@ -21,6 +21,13 @@ def _exact_num(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction of Python ints: Fraction(np.int64(5), 12) keeps its
+    numpy numerator, which overflows without an error in the integer
+    contraction."""
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 class StepGraphon:
     """Symmetric step kernel with values in [0, 1].
 
@@ -51,8 +58,8 @@ class StepGraphon:
             _exact_num(x) for x in weights
         )
         if exact:
-            rows = [[Fraction(x) for x in r] for r in rows]
-            weights = [Fraction(x) for x in weights]
+            rows = [[_fraction(x) for x in r] for r in rows]
+            weights = [_fraction(x) for x in weights]
             if sum(weights) != 1:
                 raise ValueError("part weights must sum to 1")
         else:

@@ -152,7 +152,7 @@ def test_linear_algebra_notices_wrong_weights():
 
 def test_linear_algebra_reports_rank_when_the_solve_fails():
     # column 2 copied over column 1: both systems lose one rank, so the
-    # unique solve fails and the rank is computed instead
+    # weights no longer pin down a unique solution
     cert = load_certificate()
     rows = tuple((row[1],) + row[1:] for row in cert.matrix)
     rep = verify_linear_algebra(dataclasses.replace(cert, matrix=rows))

@@ -173,6 +173,10 @@ BAD_NUMBER_RUNS = [
     (["inequalities", "--graphon", "half", "--tolerance=-1e-3"], "got -1e-3"),
     (["inequalities", "--suite", "1", "--tolerance", "inf"], "got inf"),
     (["verify-certificate", "--tolerance=-inf"], "got -inf"),
+    # 5^16 float64 entries per kernel would need far more memory than any
+    # machine has: a size error, not a numpy memory error with exit 1
+    (["m", "k16", "--graphon", "random:5:1"], "float evaluation too large"),
+    (["minimize", "k16", "--parts", "5"], "float evaluation too large"),
 ]
 
 

@@ -18,6 +18,8 @@ from commonality.graphons import (
     random_suite,
 )
 from commonality import density
+from commonality.inequalities import standard_battery
+from commonality.search import gradient_m
 from commonality.density import (
     COLOURS,
     PAIRS5,
@@ -30,6 +32,7 @@ from commonality.density import (
     integer_kernel,
     m,
     m_many,
+    t_complement,
     t_hom,
     t_hom_many,
     t_signed,
@@ -172,7 +175,9 @@ def test_suite_pack_is_cached_and_read_without_copies():
     # rebuilt, but its kernels are equal, so it hits too
     assert _packed.cache_info().hits == hits + 4
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    for idxs, mu, colours in _packed(tuple(suite)).groups:
+    for idxs, mu, colours, den in _packed(tuple(suite)).groups:
+        # a suite packs float kernels, the corners included
+        assert den is None and all(a.dtype == np.float64 for a in colours.values())
         assert sorted(colours) == sorted(COLOURS)
         arrays = (idxs, mu) + tuple(colours.values())
         assert not any(a.flags.writeable for a in arrays)
@@ -293,6 +298,84 @@ def test_many_after_the_suite_list_changes_in_place():
             assert abs(ms[i] - m(g, w)) < 1e-12, change
             assert abs(xs[i] - expansion_value(g, w)) < 1e-12, change
             assert abs(ss[i] - t_signed(g, w.signed())) < 1e-12, change
+
+
+def test_one_kernel_is_the_pack_of_w_and_its_complement():
+    # an exact kernel packs over its own common denominators: the colours
+    # are P, D - P and 2P - D in Python integers, one row per kernel of the
+    # suite (w, 1 - w), and each density divides by that kernel's D^e E^v
+    wbar = RATIONAL_W.one_minus()
+    (idxs, mu, colours, (D, E)), = density._kernel(RATIONAL_W, True).groups
+    ints = [integer_kernel(x.values, x.weights) for x in (RATIONAL_W, wbar)]
+    assert list(idxs) == [0, 1] and list(D) == [ints[0][2], ints[1][2]]
+    assert list(E) == [ints[0][3], ints[1][3]]
+    for i, (P, q, _, _) in enumerate(ints):
+        assert np.array_equal(colours["w"][i], P) and np.array_equal(mu[i], q)
+        assert np.array_equal(colours["1-w"][i], D[i] - P)
+        assert np.array_equal(colours["2w-1"][i], 2 * P - D[i])
+    assert all(type(x) is int for a in colours.values() for x in a.ravel())
+    signed = RATIONAL_W.signed()
+    for name in ("k3", "c4", "k3plus"):
+        g = catalog(name)
+        want = [enumerated_density(g, x.values, x.weights) for x in (RATIONAL_W, wbar, signed)]
+        assert [t_hom(g, RATIONAL_W), t_complement(g, RATIONAL_W), t_signed(g, signed)] == want
+        assert m(g, RATIONAL_W) == want[0] + want[1]
+        assert density._kernel(RATIONAL_W, True).density(g, "2w-1")[0] == want[2]
+    # a float kernel is the same suite of two in float64
+    wf = random_suite(1, seed=40, ks=(3,))[0]
+    (_, _, colours, den), = density._kernel(wf, False).groups
+    assert den is None and len(colours["w"]) == 2
+    assert np.array_equal(colours["w"][1], np.array(wf.one_minus().values))
+
+
+def test_battery_contracts_each_request_once(monkeypatch):
+    # a battery's density requests on one kernel are 30 contractions of the
+    # batch (w, 1 - w) and 3 of the signed kernel 2w - 1
+    sizes = []
+
+    def counting(g, V, mu):
+        sizes.append(len(V))
+        return _t_batch(g, V, mu)
+
+    monkeypatch.setattr(density, "_t_batch", counting)
+    for w in (random_suite(1, seed=41, ks=(3,))[0], RATIONAL_W):
+        density._kernel.cache_clear()
+        del sizes[:]
+        standard_battery(w)
+        assert (len(sizes), sum(sizes)) == (33, 63), w.exact
+
+
+def test_numpy_integer_fractions_stay_exact():
+    # Fraction(np.int64(5), 12) keeps an int64 numerator, which overflowed
+    # the integer contraction without an error
+    def kernel(num):
+        v = [[Fraction(num(5), 12), Fraction(num(7), 12)],
+             [Fraction(num(7), 12), Fraction(num(1), 12)]]
+        return StepGraphon(v, [Fraction(num(5), 12), Fraction(num(7), 12)])
+
+    g = catalog("beachball:3")
+    w = kernel(np.int64)
+    assert all(type(x.numerator) is int and type(x.denominator) is int
+               for x in itertools.chain(w.weights, *w.values))
+    density._kernel.cache_clear()
+    got = t_hom(g, w), m(g, w), [r.tsv_row() for r in standard_battery(w)]
+    density._kernel.cache_clear()
+    plain = kernel(int)
+    assert got == (t_hom(g, plain), m(g, plain), [r.tsv_row() for r in standard_battery(plain)])
+    assert got[0] > 0
+
+
+def test_float_evaluations_have_a_size_cap():
+    # 5^16 float64 entries per kernel: a ValueError naming the part count
+    # and width, before any array is allocated, on every float route
+    g, w = catalog("k16"), random_suite(1, seed=42, ks=(5,))[0]
+    for call in (lambda: t_hom(g, w), lambda: m_many(g, [w]), lambda: gradient_m(g, w)):
+        with pytest.raises(ValueError, match="float evaluation too large: 5 parts"):
+            call()
+    with pytest.raises(ValueError, match="exact evaluation too large"):
+        t_hom(catalog("k9"), block_graphon(catalog("k5")))
+    # the cap itself passes: 4^12 = 2^24 entries at 4 parts and width 11
+    assert density._capped_plan(catalog("k12"), 4, False)
 
 
 def test_elimination_order_widths():

@@ -98,7 +98,7 @@ def test_density_cache_keeps_exact_and_float_apart():
     # kernel's tuples alone would hand one route's result to the other
     exact, flt = half(), StepGraphon([[0.5]])
     for order in ((exact, flt), (flt, exact)):
-        density._densities.cache_clear()
+        density._kernel.cache_clear()
         for w in order:
             for g in (catalog("k3"), catalog("c4")):
                 want = Fraction if w.exact else float

@@ -21,6 +21,8 @@ def test_layer_times_runs():
     # the graphs share subgraph classes, so the table serves some requests
     # without a contraction
     assert 0 < sweep["contractions"] < sweep["requests"]
+    assert sorted(times["battery_ms"]) == ["exact:k2", "float:k2", "float:k3", "float:k4"]
+    assert all(ms > 0 for ms in times["battery_ms"].values())
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
     for by_size in times["t_batch_us"].values():
         assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]

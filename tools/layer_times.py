@@ -14,15 +14,22 @@ suite-sweep suite at seed 1):
   1000, with 3-part kernels in the batch-last layout the pack holds;
 - catalog_sweep: expansion_value_many then m_many on every catalog graph
   with at most 12 edges, starting from an empty density table: the table
-  requests, the contractions they cost and the milliseconds (a median).
+  requests, the contractions they cost and the milliseconds (a median);
+- battery_ms: inequalities.standard_battery on one fresh kernel, so every
+  density is a table miss, in milliseconds: the median over seeded float
+  kernels with 2, 3 and 4 parts and over 2-part kernels with entries in
+  twelfths on the exact route.
 """
 from __future__ import annotations
 
 import json
 import statistics
 import timeit
+from fractions import Fraction
 
-from commonality import density, graphons, graphs
+import numpy as np
+
+from commonality import density, graphons, graphs, inequalities
 
 SUITE_SIZE = 1000
 BATCH_SIZES = (1, 32, 1000)
@@ -52,7 +59,7 @@ def layer_times(repeat=15, number=20):
     pack.density(k3, "w")
     times["table_hit_us"] = _median_us(lambda: pack.density(k3, "w"), number, repeat)
     # (mu, colours) of one 3-part group per batch size
-    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,)))).groups[0][1:]
+    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,)))).groups[0][1:3]
                for B in BATCH_SIZES}
     times["t_batch_us"] = {
         name: {str(B): _median_us(lambda g=graphs.catalog(name), V=colours["w"], mu=mu:
@@ -60,6 +67,7 @@ def layer_times(repeat=15, number=20):
                for B, (mu, colours) in batches.items()}
         for name in GRAPHS}
     times["catalog_sweep"] = catalog_sweep(suite, repeat)
+    times["battery_ms"] = battery_ms(repeat)
     return times
 
 
@@ -78,6 +86,24 @@ def catalog_sweep(suite, repeat):
     seconds = timeit.repeat(sweep, setup=table.cache_clear, number=1, repeat=repeat)
     return {"graphs": len(catalog), "requests": info.hits + info.misses,
             "contractions": info.misses, "ms": round(statistics.median(seconds) * 1e3, 2)}
+
+
+def _twelfths_kernel(rng):
+    a, b, c, wt = (Fraction(int(x), 12) for x in rng.integers(1, 12, 4))
+    return graphons.StepGraphon([[a, b], [b, c]], [wt, 1 - wt])
+
+
+def battery_ms(repeat):
+    rng = np.random.default_rng(3)
+    makers = {f"float:k{k}": lambda k=k: graphons.random_graphon(k, rng) for k in (2, 3, 4)}
+    makers["exact:k2"] = lambda: _twelfths_kernel(rng)
+    out = {}
+    for label, make in makers.items():
+        kernels = [make() for _ in range(repeat)]
+        seconds = [timeit.timeit(lambda w=w: inequalities.standard_battery(w), number=1)
+                   for w in kernels]
+        out[label] = round(statistics.median(seconds) * 1e3, 3)
+    return out
 
 
 if __name__ == "__main__":
