@@ -114,9 +114,11 @@ def enumerate_partition_classes():
     orbit = np.minimum(key, key[::-1])
     reps = [sum(int(bit[u, v]) for u, v in edges) for edges in FIGURE_CLASS_EDGES]
     names = orbit[reps]
-    assert len(set(names.tolist())) == len(reps), "two representatives share an orbit"
+    if len(set(names.tolist())) != len(reps):
+        raise RuntimeError("two representatives share an orbit")
     covered = np.isin(orbit, names)
-    assert covered.all(), "classes cover %d of 1024 patterns" % covered.sum()
+    if not covered.all():
+        raise RuntimeError("classes cover %d of 1024 patterns" % covered.sum())
     classes = tuple(PartitionClass(
         index=idx,
         representative=Graph(5, list(edges)),
@@ -124,7 +126,9 @@ def enumerate_partition_classes():
         labelled_masks=tuple(np.flatnonzero(orbit == orbit[m0]).tolist()),
         self_complementary=bool(key[m0] == key[1023 - m0]),
     ) for idx, (edges, m0) in enumerate(zip(FIGURE_CLASS_EDGES, reps), start=1))
-    assert sum(c.self_complementary for c in classes) == 2
+    self_complementary = sum(c.self_complementary for c in classes)
+    if self_complementary != 2:
+        raise RuntimeError("%d self-complementary classes, not 2" % self_complementary)
     return classes
 
 
@@ -204,10 +208,12 @@ def _coefficient_matrix():
         rows[key] += term
     for key, (name, pref) in EXCESS.items():
         g = catalog(name)
-        assert g.n == 5
+        if g.n != 5:
+            raise RuntimeError("excess(%s) has %d vertices, not 5" % (name, g.n))
         # the prefactor clears the two-colour floor 2^(1-e)
         floor, rest = divmod(pref, 2 ** (g.e - 1))
-        assert not rest, "%d*excess(%s) has a fractional floor" % (pref, name)
+        if rest:
+            raise RuntimeError("%d*excess(%s) has a fractional floor" % (pref, name))
         u, v = np.array(g.sorted_edges()).T
         rows[key] = pref * (c[u, v].prod(axis=0) + swapped[u, v].prod(axis=0)) - floor
     # colour-symmetric as they stand: the sign of each xy edge times the
@@ -243,8 +249,9 @@ def _class_mean_matrix():
     index = _class_index_arrays()
     sums = np.stack([coeffs[:, idx].sum(axis=1) for idx in index], axis=1)
     means, rest = np.divmod(sums, [len(idx) for idx in index])
-    assert not rest.any(), "non-integer class means at (expression row, class column) %s" \
-        % np.argwhere(rest).tolist()
+    if rest.any():
+        raise RuntimeError("non-integer class means at (expression row, class column) %s"
+                           % np.argwhere(rest).tolist())
     return means
 
 

@@ -220,7 +220,9 @@ def find_triangle_decomposition(h: Graph):
         1 for i, j in d.tree_edges if len(set(d.bags[i]) & set(d.bags[j])) == 2
     )
     phi, kappa = h.e - h.n + 1, 2 * h.e - 3 * h.n + 3
-    assert len(bags) == phi and shared == kappa
+    if len(bags) != phi or shared != kappa:
+        raise RuntimeError("found %d bags sharing %d edges, expected phi = %d and kappa = %d"
+                           % (len(bags), shared, phi, kappa))
     return TriangleTreeReport(phi, kappa, d, shared)
 
 
@@ -272,7 +274,8 @@ def extend_with_pendant_tree(h: Graph, d: TreeDecomposition, t: Graph, u: int, v
         bridge = node_of[u]
     else:
         children = [w for w in range(t.n) if parent.get(w) == u]
-        assert len(children) == 1  # the root is a leaf
+        if len(children) != 1:
+            raise RuntimeError("the root of the pendant tree is not a leaf")
         bridge = node_of[children[0]]
     target = next(i for i, b in enumerate(d.bags) if v in b)
     tree_edges.append((target, bridge))

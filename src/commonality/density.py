@@ -16,15 +16,22 @@ A suite is packed once, as float64, and cached by value, keyed on its
 kernels, which hash and compare by their entries.  t_hom_many, m_many,
 t_signed_many and expansion_value_many are reads of its table, so m_many
 after t_hom_many contracts only 1 - w, and the expansions of a sweep
-contract each subgraph class they share once.  The table keeps 128
-entries, about 1 MB on a 1000-kernel suite, and lives with its pack:
-_packed's four entries bound its memory, and evicting a pack frees its
+contract each subgraph class they share once, in every round.  A round of
+perfbench's suite-sweep requests about 217 distinct entries: 153 for the
+catalog graphs with at most 12 edges (their "2w-1" subgraph classes, w
+and 1 - w), each read again one round later, and about 64 for fresh
+triangle trees and pendant gluings, read in one op only.  The table keeps
+512 entries, more than twice that reuse distance, so a steady round
+contracts only its fresh graphs; at 8 KB an entry on a 1000-kernel suite
+that is at most 4 MB a pack.  The table lives with its pack: _packed's
+four entries bound its memory at 16 MB, and evicting a pack frees its
 densities.  Reusing one suite list across the *_many calls packs it once,
 and no kernel objects are built.
 A single kernel is the pack of the suite (w, 1 - w), so t_hom,
-t_complement and m read one contraction of a batch of two, and
-expansion_value reads the "2w-1" colour; a signed kernel is the pack of
-(u,) for t_signed.  Float kernels contract in float64.  Exact kernels
+t_complement and m read one contraction of a batch of two; a signed
+kernel is the pack of (u,) for t_signed, and expansion_value reads the
+pack of 2w - 1 the same way, one contraction of a batch of one per
+subgraph class.  Float kernels contract in float64.  Exact kernels
 contract in Python integers over each kernel's common denominators,
 values p/D and weights q/E, and divide once at the end, so a density
 costs k^(width+1) integer operations per eliminated vertex and one gcd.
@@ -250,11 +257,13 @@ class _Pack:
     (integer_kernel): the colours are P, D - P and 2P - D, the weights q,
     and den the (B,) object arrays (D, E).  density(g, colour) is the table:
     an LRU cache of read-only (n,) arrays, each contracted once per group.
-    128 entries hold the ~70 (graph, colour) requests of an inequality
-    battery, plus the subgraph classes that the expansions of neighbouring
-    graphs share: about 1 MB on a 1000-kernel suite.  The cache closes over
-    the groups, not over the pack, so dropping the pack frees its densities
-    at once."""
+    A suite-sweep round asks for about 217 distinct entries and reads each
+    catalog entry again one round later, after all the others; 512 entries
+    keep those reads hits, at most 512 x 8 KB = 4 MB on a 1000-kernel float
+    suite.  The packs of one kernel hold the 33 entries of an inequality
+    battery, two numbers or one each.
+    The cache closes over the groups, not over the pack, so dropping the
+    pack frees its densities at once."""
 
     def __init__(self, kernels: tuple, exact: bool = False):
         by_k = {}
@@ -276,13 +285,13 @@ class _Pack:
             V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
             mu = np.ascontiguousarray(mu.reshape(B, k).T)
             idxs = np.array(members)
-            arrays = (mu, V, one - V, 2 * V - one)
-            for a in (idxs,) + arrays:
+            colours = (V, one - V, 2 * V - one)
+            for a in (idxs, mu) + colours:
                 a.flags.writeable = False
-            mu, *kernel_colours = (np.moveaxis(a, -1, 0) for a in arrays)
-            groups.append((idxs, mu, dict(zip(COLOURS, kernel_colours)), den))
+            views = {c: a.transpose(2, 0, 1) for c, a in zip(COLOURS, colours)}
+            groups.append((idxs, mu.T, views, den))
         self.groups = tuple(groups)
-        self.density = lru_cache(maxsize=128)(
+        self.density = lru_cache(maxsize=512)(
             partial(_contract, self.groups, len(kernels), exact))
 
 
@@ -292,7 +301,7 @@ def _packed(kernels: tuple) -> _Pack:
     by their entries, so a list changed in place makes a new key and no
     stale pack is read.  Four entries hold the suites a sweep or a
     certificate check reuses, and bound the density tables kept alive with
-    them."""
+    them: 16 MB for four 1000-kernel suites."""
     return _Pack(kernels)
 
 
@@ -354,11 +363,12 @@ def m_many(g: Graph, graphons) -> np.ndarray:
 
 def expansion_value(g: Graph, w: StepGraphon):
     """m(g, w) recomputed through the even-subset expansion of g against the
-    signed kernel 2w - 1, read from the "2w-1" colour of w's pack.  Equals
-    m(g, w) exactly for exact kernels."""
-    density = _kernel(w, w.exact).density
+    signed kernel 2w - 1, read from its own pack: w's pack would contract
+    1 - 2w beside it, which the expansion does not read.  Equals m(g, w)
+    exactly for exact kernels."""
+    u = w.signed()
     scale = Fraction(2) ** (1 - g.e)
-    return scale * sum(c * density(f, "2w-1").item(0) for f, c in even_expansion(g).items())
+    return scale * sum(c * t_signed(f, u) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:

@@ -3,12 +3,16 @@ coordinate tables, linear algebra, and the two-route numeric evaluation."""
 
 import dataclasses
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import commonality
 from commonality.certificate import (
     EXPRESSION_KEYS,
     TARGET_COLUMNS,
@@ -273,3 +277,30 @@ def test_full_conclusion():
     assert "verdict\tok" in lines
     assert rep.target_floor_a >= -1e-9
     assert rep.target_floor_b >= -1e-9
+
+
+def test_class_invariants_hold_under_optimize():
+    # python -O strips assert statements: with two representatives in one
+    # orbit the class enumeration must still refuse, as a RuntimeError,
+    # which the CLI lets through as a traceback (exit 1), never as bad
+    # input (exit 2)
+    script = "\n".join([
+        "from commonality import certificate",
+        "from commonality.cli import main",
+        "edges = list(certificate.FIGURE_CLASS_EDGES)",
+        "edges[2] = ((0, 1),)",
+        "certificate.FIGURE_CLASS_EDGES = tuple(edges)",
+        "for call in (certificate.enumerate_partition_classes,",
+        "             lambda: main(['verify-certificate', '--seed', '1'])):",
+        "    try:",
+        "        call()",
+        "    except RuntimeError as exc:",
+        "        print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["two representatives share an orbit"] * 2

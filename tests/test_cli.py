@@ -266,13 +266,15 @@ def test_bad_numbers_exit_two_under_optimize():
 
 
 def test_internal_failure_is_not_bad_input(monkeypatch):
-    # an internal invariant failure must surface as a traceback, not exit 2
-    def broken(h):
-        raise AssertionError("internal invariant")
+    # an internal invariant failure must surface as a traceback, not exit 2;
+    # the package's own invariants raise RuntimeError, which survives -O
+    for error in (AssertionError, RuntimeError):
+        def broken(h):
+            raise error("internal invariant")
 
-    monkeypatch.setattr("commonality.cli.find_triangle_decomposition", broken)
-    with pytest.raises(AssertionError):
-        main(["tritree", "k3"])
+        monkeypatch.setattr("commonality.cli.find_triangle_decomposition", broken)
+        with pytest.raises(error):
+            main(["tritree", "k3"])
 
 
 def test_help_exits_zero(capsys):

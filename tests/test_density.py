@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commonality.graphs import Graph, catalog, complement, even_expansion
+from commonality.decomposition import random_triangle_tree
+from commonality.graphs import Graph, catalog, catalog_all, complement, even_expansion
 from commonality.graphons import (
     StepGraphon,
     block_graphon,
@@ -255,6 +256,44 @@ def test_expansion_reads_shared_subgraph_classes_from_the_table(monkeypatch):
     assert len(contracted) == groups
 
 
+def test_a_sweep_round_keeps_the_catalog_in_the_table(monkeypatch):
+    # a suite-sweep round: the catalog's expansions and m, then fresh
+    # triangle trees read once.  The table must still hold every catalog
+    # entry when the next round reads it: a table smaller than the round's
+    # ~217 entries evicts each before its reuse and recontracts it.
+    suite = random_suite(1000, seed=21)
+    graphs = [g for _, g in catalog_all() if g.e <= 12]
+    rng = random.Random(21)
+    trees = [random_triangle_tree(rng, 1 + i % 12) for i in range(36)]
+    _packed.cache_clear()
+    table = _packed(tuple(suite)).density
+
+    def sweep():
+        return [(expansion_value_many(g, suite), m_many(g, suite)) for g in graphs]
+
+    first = sweep()
+    for h in trees:
+        t_hom_many(h, suite)
+        m_many(h, suite)
+    contracted = []
+
+    def counting(g, V, mu):
+        contracted.append(g)
+        return _t_batch(g, V, mu)
+
+    monkeypatch.setattr(density, "_t_batch", counting)
+    misses = table.cache_info().misses
+    second = sweep()
+    assert contracted == [] and table.cache_info().misses == misses
+    monkeypatch.undo()
+    # bit for bit what a cold table gives, graph by graph
+    for g, warm, kept in zip(graphs, second, first):
+        table.cache_clear()
+        cold = (expansion_value_many(g, suite), m_many(g, suite))
+        for a, b, c in zip(warm, kept, cold):
+            assert np.array_equal(a, c) and np.array_equal(b, c), g
+
+
 def test_writing_a_returned_array_leaves_the_table_alone():
     suite = _shuffled_suite(33)
     g = catalog("c5")
@@ -343,6 +382,25 @@ def test_battery_contracts_each_request_once(monkeypatch):
         del sizes[:]
         standard_battery(w)
         assert (len(sizes), sum(sizes)) == (33, 63), w.exact
+
+
+def test_expansion_value_contracts_the_signed_kernel_alone(monkeypatch):
+    # the expansion reads t_F(2w - 1) only, so each subgraph class is one
+    # contraction of a batch of one, not of the pair (2w - 1, 1 - 2w)
+    sizes = []
+
+    def counting(g, V, mu):
+        sizes.append(len(V))
+        return _t_batch(g, V, mu)
+
+    monkeypatch.setattr(density, "_t_batch", counting)
+    g = catalog("beachball:2")
+    for w in (random_suite(1, seed=42, ks=(4,))[0], RATIONAL_W):
+        density._kernel.cache_clear()
+        del sizes[:]
+        expansion_value(g, w)
+        assert sizes and set(sizes) == {1}, w.exact
+        assert len(sizes) == len(even_expansion(g)), w.exact
 
 
 def test_numpy_integer_fractions_stay_exact():

@@ -21,6 +21,10 @@ def test_layer_times_runs():
     # the graphs share subgraph classes, so the table serves some requests
     # without a contraction
     assert 0 < sweep["contractions"] < sweep["requests"]
+    # fresh graphs between two catalog passes evict none of its entries
+    assert sweep["warm_contractions"] == 0 and sweep["fresh_contractions"] > 0
+    assert sweep["currsize"] == sweep["contractions"] + sweep["fresh_contractions"]
+    assert sweep["warm_ms"] > 0
     assert sorted(times["battery_ms"]) == ["exact:k2", "float:k2", "float:k3", "float:k4"]
     assert all(ms > 0 for ms in times["battery_ms"].values())
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)

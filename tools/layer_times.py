@@ -14,7 +14,12 @@ suite-sweep suite at seed 1):
   1000, with 3-part kernels in the batch-last layout the pack holds;
 - catalog_sweep: expansion_value_many then m_many on every catalog graph
   with at most 12 edges, starting from an empty density table: the table
-  requests, the contractions they cost and the milliseconds (a median);
+  requests, the contractions they cost and the milliseconds (a median).
+  Then t_hom_many and m_many on 36 fresh triangle trees, as a suite-sweep
+  round reads them, and the catalog pass again: fresh_contractions and
+  warm_contractions count the contractions of each, currsize the table's
+  entries after them, and warm_ms times a catalog pass on the table the
+  pass before it filled (a median);
 - battery_ms: inequalities.standard_battery on one fresh kernel, so every
   density is a table miss, in milliseconds: the median over seeded float
   kernels with 2, 3 and 4 parts and over 2-part kernels with entries in
@@ -23,15 +28,17 @@ suite-sweep suite at seed 1):
 from __future__ import annotations
 
 import json
+import random
 import statistics
 import timeit
 from fractions import Fraction
 
 import numpy as np
 
-from commonality import density, graphons, graphs, inequalities
+from commonality import decomposition, density, graphons, graphs, inequalities
 
 SUITE_SIZE = 1000
+FRESH_TREES = 36
 BATCH_SIZES = (1, 32, 1000)
 GRAPHS = ("k3", "c5", "k4")
 
@@ -80,12 +87,24 @@ def catalog_sweep(suite, repeat):
             density.expansion_value_many(g, suite)
             density.m_many(g, suite)
 
+    rng = random.Random(1)
+    trees = [decomposition.random_triangle_tree(rng, 1 + i % 12) for i in range(FRESH_TREES)]
     table.cache_clear()
     sweep()
-    info = table.cache_info()
+    cold = table.cache_info()
+    for h in trees:
+        density.t_hom_many(h, suite)
+        density.m_many(h, suite)
+    after_fresh = table.cache_info()
+    sweep()
+    warm = table.cache_info()
     seconds = timeit.repeat(sweep, setup=table.cache_clear, number=1, repeat=repeat)
-    return {"graphs": len(catalog), "requests": info.hits + info.misses,
-            "contractions": info.misses, "ms": round(statistics.median(seconds) * 1e3, 2)}
+    warm_seconds = timeit.repeat(sweep, number=1, repeat=repeat)
+    return {"graphs": len(catalog), "requests": cold.hits + cold.misses,
+            "contractions": cold.misses, "ms": round(statistics.median(seconds) * 1e3, 2),
+            "fresh_contractions": after_fresh.misses - cold.misses,
+            "warm_contractions": warm.misses - after_fresh.misses, "currsize": warm.currsize,
+            "warm_ms": round(statistics.median(warm_seconds) * 1e3, 2)}
 
 
 def _twelfths_kernel(rng):
