@@ -134,10 +134,11 @@ def enumerate_partition_classes():
 
 @lru_cache(maxsize=1)
 def class_of_mask():
-    """Array mapping each labelled pattern to its 1-based class index."""
+    """Read-only array mapping each labelled pattern to its 1-based class."""
     owner = np.zeros(1 << 10, dtype=np.int64)
     for cls in enumerate_partition_classes():
         owner[list(cls.labelled_masks)] = cls.index
+    owner.flags.writeable = False
     return owner
 
 

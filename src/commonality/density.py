@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -290,9 +290,10 @@ class _Pack:
                 a.flags.writeable = False
             views = {c: a.transpose(2, 0, 1) for c, a in zip(COLOURS, colours)}
             groups.append((idxs, mu.T, views, den))
-        self.groups = tuple(groups)
+        self.groups = groups = tuple(groups)
+        n = len(kernels)
         self.density = lru_cache(maxsize=512)(
-            partial(_contract, self.groups, len(kernels), exact))
+            lambda g, colour: _contract(groups, n, exact, g, colour))
 
 
 @lru_cache(maxsize=4)

@@ -1,16 +1,20 @@
-"""Small simple graphs: canonical forms, named constructions, and the
-even-subgraph expansion.
+"""Small simple graphs: canonical forms, named constructions, the
+even-subgraph expansion, and the enumeration of graph classes.
 
 Vertices are 0..n-1.  Graphs are immutable and hashable so canonical forms
 and expansions can be cached.  The vertex cap is 16, which keeps adjacency
 rows in native ints and matches what the density engine can evaluate.
+Every class of graphs on n points comes from one cached generator,
+graph_classes(n); the connected bipartite graphs on up to five points are
+a filter of its output.  Cached results are values a caller cannot
+change: tuples, and read-only mappings for the expansions.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 MAX_VERTICES = 16
 
@@ -365,46 +369,20 @@ def pendant_attach(t: Graph, u: int, h: Graph, v: int) -> Graph:
 # even-subgraph expansion
 
 
-class GraphCombination:
-    """Formal rational linear combination of canonical graph classes."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for g, c in items:
-            cg = canonical_form(g)
-            merged[cg] = merged.get(cg, Fraction(0)) + Fraction(c)
-        self.terms = {g: c for g, c in merged.items() if c}
-
-    def coefficient(self, g: Graph) -> Fraction:
-        return self.terms.get(canonical_form(g), Fraction(0))
-
-    def items(self):
-        # deterministic order: by vertex count, edge count, then edge list
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].n, kv[0].e, kv[0].sorted_edges()))
-
-    def total(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GraphCombination) and self.terms == other.terms
-
-    def __repr__(self):
-        return "GraphCombination(%s)" % ", ".join(f"{c}*{g.sorted_edges()}" for g, c in self.items())
+def _class_order(g: Graph):
+    # the order of the enumerations: vertex count, edge count, edge list
+    return g.n, g.e, g.sorted_edges()
 
 
 @lru_cache(maxsize=4096)
-def even_expansion(h: Graph) -> GraphCombination:
-    """Multiset of even edge subsets of h, grouped by isomorphism class.
+def even_expansion(h: Graph) -> MappingProxyType:
+    """Multiset of even edge subsets of h, grouped by isomorphism class: a
+    read-only mapping from each canonical class to its integer count, in
+    (vertex count, edge count, edge list) order.
 
     Each subset keeps only its non-isolated vertices before classifying, so
-    the empty subset contributes the zero-vertex graph with coefficient 1.
-    The coefficients sum to 2^(e-1) for e >= 1.
+    the empty subset contributes the zero-vertex graph with count 1.  The
+    counts sum to 2^(e-1) for e >= 1.
     """
     e = h.e
     if e > 20:
@@ -415,7 +393,7 @@ def even_expansion(h: Graph) -> GraphCombination:
         for subset in itertools.combinations(edges, r):
             key = canonical_form(drop_isolated(Graph(h.n, subset)))
             counts[key] = counts.get(key, 0) + 1
-    return GraphCombination(counts)
+    return MappingProxyType({g: counts[g] for g in sorted(counts, key=_class_order)})
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +508,24 @@ def catalog_all():
     return [(name, catalog(name)) for name in catalog_names()]
 
 
-@lru_cache(maxsize=1)
-def connected_bipartite_up_to_5():
-    """Canonical forms of all connected bipartite graphs on 2..5 vertices."""
-    found = {}
-    for n in range(2, 6):
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for bits in range(1 << len(all_pairs)):
-            edges = [all_pairs[i] for i in range(len(all_pairs)) if bits >> i & 1]
-            g = Graph(n, edges)
-            if is_connected(g) and is_bipartite(g):
-                cg = canonical_form(g)
-                found.setdefault((cg.n, cg.e, tuple(cg.sorted_edges())), cg)
-    return [found[k] for k in sorted(found)]
+@cache
+def graph_classes(n: int) -> tuple:
+    """Every graph on n points up to isomorphism, as canonical forms by edge
+    count, each count in the order found: the classes with e + 1 edges are
+    the distinct canonical forms of the classes with e edges plus one pair."""
+    level, classes = [canonical_form(Graph(n))], []
+    while level:
+        classes += level
+        level = list(dict.fromkeys(canonical_form(Graph(n, [*g.edges, pair])) for g in level
+                                   for pair in itertools.combinations(range(n), 2)
+                                   if not g.has_edge(*pair)))
+    return tuple(classes)
+
+
+@cache
+def connected_bipartite_up_to_5() -> tuple:
+    """Canonical forms of all connected bipartite graphs on 2..5 vertices,
+    the ten of the apex theorem, in (vertex count, edge count, edge list)
+    order."""
+    return tuple(sorted((g for n in range(2, 6) for g in graph_classes(n)
+                         if is_connected(g) and is_bipartite(g)), key=_class_order))

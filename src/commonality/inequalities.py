@@ -257,7 +257,7 @@ def check_beachball_chain(k: int, w: StepGraphon, c=Fraction(1, 7), tol=INEQ_TOL
 
 @cache
 def _ten_list():
-    return frozenset(canonical_form(g) for g in connected_bipartite_up_to_5())
+    return frozenset(connected_bipartite_up_to_5())
 
 
 def _require_ten_list(h: Graph):

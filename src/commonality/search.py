@@ -8,19 +8,19 @@ certify upper bounds on the minimum, never the minimum itself.  A brute grid sca
 is kept alongside as an optimizer-free cross-check.  Finite multiplicities
 count monochromatic labelled copies (injective vertex maps) over all
 2-colourings of the complete graph, exactly, walking every red graph class
-on n - 1 points with every neighbourhood of the last point.
+on n - 1 points (graphs.graph_classes) with every neighbourhood of the last
+point.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .density import _m_batch, _t_batch_grad
-from .graphs import Graph, canonical_form
+from .density import _capped_plan, _m_batch, _t_batch_grad
+from .graphs import Graph, graph_classes
 from .graphons import StepGraphon
 
 # |value - 2^(1-e)| below this counts as sitting on the commonality target
@@ -175,6 +175,8 @@ def minimize_m(h: Graph, cfg: MinimizeConfig | None = None) -> MinimizeResult:
     and never exceeds m at the half kernel.
     """
     cfg = cfg or MinimizeConfig()
+    # refuse a part count over the float cap before any start is built
+    _capped_plan(h, cfg.parts, False)
     target = Fraction(2) ** (1 - h.e)
     starts = np.stack([_start_matrix(cfg.parts, r, np.random.default_rng((cfg.seed, r)))
                        for r in range(cfg.restarts)])
@@ -239,35 +241,13 @@ def _copy_masks(h: Graph, n: int):
     return counts
 
 
-@lru_cache(maxsize=None)
-def _red_graph_classes(n: int):
-    """All graphs on n labelled points up to isomorphism, as canonical forms,
-    grown one edge at a time from the empty graph."""
-    start = canonical_form(Graph(n))
-    seen = {tuple(start.sorted_edges()): start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if not g.has_edge(u, v):
-                        c = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
-                        key = tuple(c.sorted_edges())
-                        if key not in seen:
-                            seen[key] = c
-                            fresh.append(c)
-        frontier = fresh
-    return list(seen.values())
-
-
 def _colourings(n: int) -> np.ndarray:
     """Red-pair bitmasks over _pair_bits(n) that meet every relabelling
     class of 2-colourings of n points: each class on the first n - 1 points,
     joined with each neighbourhood of point n - 1."""
     bits = _pair_bits(n)
     classes = np.array([sum(1 << bits[e] for e in g.sorted_edges())
-                        for g in _red_graph_classes(n - 1)], dtype=np.uint32)
+                        for g in graph_classes(n - 1)], dtype=np.uint32)
     last = [1 << bits[(i, n - 1)] for i in range(n - 1)]
     neighbourhoods = np.array([sum(b for i, b in enumerate(last) if s >> i & 1)
                                for s in range(1 << (n - 1))], dtype=np.uint32)

@@ -3,10 +3,12 @@ points, every colouring of a complete graph, every relabelling of a graph,
 or every gluing order of a graph's triangles, directly.  They share no
 code with the package's multiset, elimination, colouring-class,
 refinement and leaf-peeling routes, and are meant for small part and
-point counts.  The one exception, pattern_classes_by_canonical_form,
-names the certificate's pattern classes by the package's refinement
-canonical form (itself checked against canonical_brute), which shares no
-code with the certificate's relabelling product."""
+point counts.  Two exceptions use the package's refinement canonical
+form (itself checked against canonical_brute):
+pattern_classes_by_canonical_form names the certificate's pattern classes
+by it, which shares no code with the certificate's relabelling product, and
+graph_classes_brute classifies every labelled graph by it, with no growth
+from smaller classes."""
 import itertools
 from fractions import Fraction
 
@@ -100,6 +102,14 @@ def canonical_brute(g: Graph):
     bits = adj[orders[:, first], orders[:, second]]
     place = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
     return n, int((bits @ place).max())
+
+
+def graph_classes_brute(n: int):
+    """The set of canonical forms of all 2^C(n, 2) labelled graphs on n
+    points."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return {canonical_form(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+            for bits in range(1 << len(pairs))}
 
 
 def ramsey_brute(h: Graph, n: int) -> int:

@@ -78,6 +78,9 @@ def test_class_assignment_is_complement_invariant():
     assert owner.min() == 1
     for mask in range(1024):
         assert owner[mask] == owner[1023 ^ mask]
+    # the cached array is shared by every caller
+    with pytest.raises(ValueError):
+        owner[0] = 2
 
 
 def test_derivation_matches_shipped_tables():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from commonality.graphs import Graph, catalog, pendant_attach, relabel
+from commonality.graphs import Graph, catalog, graph_classes, pendant_attach, relabel
 from commonality.decomposition import (
     TreeDecomposition,
     extend_with_pendant_tree,
@@ -14,7 +14,6 @@ from commonality.decomposition import (
     validate,
     validate_diagnostics,
 )
-from commonality.search import _red_graph_classes
 from oracles import is_triangle_tree
 
 
@@ -100,7 +99,7 @@ def test_random_triangle_trees_recognized():
 
 
 def test_agrees_with_gluing_orders_up_to_seven_vertices():
-    graphs = [g for n in range(1, 8) for g in _red_graph_classes(n)]
+    graphs = [g for n in range(1, 8) for g in graph_classes(n)]
     assert len(graphs) == 1252
     accepted = 0
     for g in graphs:

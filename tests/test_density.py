@@ -235,7 +235,7 @@ def test_expansion_reads_shared_subgraph_classes_from_the_table(monkeypatch):
     suite = _shuffled_suite(32)
     groups = len({w.k for w in suite})
     first, second = catalog("diamond"), catalog("k3plus")
-    shared = set(even_expansion(first).terms) & set(even_expansion(second).terms)
+    shared = set(even_expansion(first)) & set(even_expansion(second))
     assert len(shared) >= 3
     _packed.cache_clear()
     expansion_value_many(first, suite)
@@ -247,7 +247,7 @@ def test_expansion_reads_shared_subgraph_classes_from_the_table(monkeypatch):
 
     monkeypatch.setattr(density, "_t_batch", counting)
     expansion_value_many(second, suite)
-    fresh = set(even_expansion(second).terms) - shared
+    fresh = set(even_expansion(second)) - shared
     assert Counter(contracted) == {f: groups for f in fresh}
     # m_many after t_hom_many contracts only the complement
     t_hom_many(second, suite)

@@ -8,6 +8,7 @@ against full colouring enumeration (tests/oracles.py).
 """
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,19 @@ def test_config_validation():
         MinimizeConfig(parts=0)
     with pytest.raises(ValueError):
         MinimizeConfig(restarts=0)
+
+
+def test_minimize_refuses_too_many_parts_before_allocating():
+    # 600^3 float entries are over the cap; the 16 starts of 600 x 600 would
+    # take about 46 MB before the contraction refused them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            minimize_m(catalog("k3"), MinimizeConfig(parts=600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_minimize_triangle_hits_quarter():

@@ -23,7 +23,11 @@ suite-sweep suite at seed 1):
 - battery_ms: inequalities.standard_battery on one fresh kernel, so every
   density is a table miss, in milliseconds: the median over seeded float
   kernels with 2, 3 and 4 parts and over 2-part kernels with entries in
-  twelfths on the exact route.
+  twelfths on the exact route;
+- ramsey_ms: search.exact_ramsey_multiplicity(k3, n) at n = 6, 7 and 8,
+  in milliseconds, each run with the caches of graphs.graph_classes and
+  graphs.canonical_form cleared first, so that it includes building the
+  classes on n - 1 points (the median of up to three runs).
 """
 from __future__ import annotations
 
@@ -35,12 +39,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from commonality import decomposition, density, graphons, graphs, inequalities
+from commonality import decomposition, density, graphons, graphs, inequalities, search
 
 SUITE_SIZE = 1000
 FRESH_TREES = 36
 BATCH_SIZES = (1, 32, 1000)
 GRAPHS = ("k3", "c5", "k4")
+RAMSEY_POINTS = (6, 7, 8)
 
 
 def _median_us(fn, number, repeat):
@@ -75,6 +80,7 @@ def layer_times(repeat=15, number=20):
         for name in GRAPHS}
     times["catalog_sweep"] = catalog_sweep(suite, repeat)
     times["battery_ms"] = battery_ms(repeat)
+    times["ramsey_ms"] = ramsey_ms(min(repeat, 3))
     return times
 
 
@@ -123,6 +129,19 @@ def battery_ms(repeat):
                    for w in kernels]
         out[label] = round(statistics.median(seconds) * 1e3, 3)
     return out
+
+
+def ramsey_ms(repeat):
+    k3 = graphs.catalog("k3")
+
+    def cold(n):
+        graphs.graph_classes.cache_clear()
+        graphs.canonical_form.cache_clear()
+        search.exact_ramsey_multiplicity(k3, n)
+
+    return {str(n): round(statistics.median(
+                timeit.repeat(lambda: cold(n), number=1, repeat=repeat)) * 1e3, 1)
+            for n in RAMSEY_POINTS}
 
 
 if __name__ == "__main__":
