@@ -19,11 +19,11 @@ matrix.  Their class means form one integer 18x18 matrix, compared entry
 by entry against the shipped table, itself held as one (class, expression)
 coordinate matrix.  Each target's weights are recomputed by one exact
 Gaussian elimination.  A functional is evaluated at a step graphon as its
-row of class means dotted with the 18 class totals.  Both pattern routes
-go through density.pattern_sums: the class totals over the sorted
-assignments of parts to the five points, with multinomial counts, in
-float64 or in integers over common denominators; the full vector over all
-k^5 assignments only as the independent route of cross_validate_columns.
+row of class means dotted with the 18 class totals, summed over the sorted
+assignments of parts to the five points with multinomial counts, in
+float64 or in integers over common denominators.  The independent route of
+cross_validate_columns is the full pattern vectors of a float suite: 34
+reads of density's contraction table, inverted over supersets.
 
 Coordinate convention: a functional F = sum_P c[P] * tau[P] over the
 1024 labelled patterns P (tau[P] the labelled induced-pattern density)
@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import PAIRS5, induced_pattern_vector, integer_kernel, m_many, pattern_sums
+from .density import integer_kernel, m_many, t_hom_many
 from .exactlinalg import mat_vec, rank
 from .graphs import Graph, catalog
 from .graphons import StepGraphon, corner_graphons, random_suite
@@ -74,6 +74,10 @@ FIGURE_CLASS_EDGES = (
 )
 
 
+# pair order for 5-point patterns: bit p of a mask is the pair PAIRS5[p]
+PAIRS5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+
+
 def _pattern_colours():
     # int64 (5, 5, 1024): entry [i, j, P] is 1 when pair ij is black in P
     masks = np.arange(1 << 10)
@@ -97,22 +101,28 @@ class PartitionClass:
 
 
 @lru_cache(maxsize=1)
-def enumerate_partition_classes():
-    """The 18 orbits of labelled patterns under relabelling + colour swap.
-
-    The (1024, 10) pair bits of the patterns times the (10, 120) bit
-    weights of the 5! relabellings give every relabelled mask; the least
-    is a pattern's key, and min(key[P], key[1023 - P]) adds the colour
-    swap.  The orbits are forced to cover the 1024 patterns exactly once;
-    two of them are colour-self-complementary.
-    """
+def _relabel_key():
+    """Read-only (1024,) key of each labelled pattern: its least mask over
+    the 5! relabellings, from the (1024, 10) pair bits of the patterns
+    times the (10, 120) bit weights of the relabellings."""
     i, j = np.array(PAIRS5).T
     bit = np.zeros((5, 5), dtype=np.int64)
     bit[i, j] = bit[j, i] = 1 << np.arange(10)
     perms = np.array(list(itertools.permutations(range(5))))
     key = (_pattern_colours()[i, j].T @ bit[perms[:, i], perms[:, j]].T).min(axis=1)
+    key.flags.writeable = False
+    return key
+
+
+@lru_cache(maxsize=1)
+def enumerate_partition_classes():
+    """The 18 orbits of labelled patterns under relabelling + colour swap:
+    min(key[P], key[1023 - P]) adds the swap to the relabelling key.  The
+    orbits are forced to cover the 1024 patterns exactly once; two of them
+    are colour-self-complementary."""
+    key = _relabel_key()
     orbit = np.minimum(key, key[::-1])
-    reps = [sum(int(bit[u, v]) for u, v in edges) for edges in FIGURE_CLASS_EDGES]
+    reps = [sum(1 << PAIRS5.index(pair) for pair in edges) for edges in FIGURE_CLASS_EDGES]
     names = orbit[reps]
     if len(set(names.tolist())) != len(reps):
         raise RuntimeError("two representatives share an orbit")
@@ -450,7 +460,9 @@ def class_density_totals_exact(w: StepGraphon):
 @lru_cache(maxsize=8)
 def _class_totals(values, weights, exact):
     # keyed on the kernel's tuples, so evaluating all 18 expressions at one
-    # kernel enumerates the multisets once
+    # kernel enumerates the multisets once.  Pair ij is black with factor
+    # x = V[a_i, a_j], white with den - x; entry (hi, lo) of the product of
+    # the (N, 32) arrays of the low and the high five pairs is mask 32 hi + lo.
     k = len(weights)
     if k > 8:
         raise ValueError("class totals capped at 8 parts, got %d" % k)
@@ -463,12 +475,36 @@ def _class_totals(values, weights, exact):
     multisets = list(itertools.combinations_with_replacement(range(k), 5))
     counts = np.array([120 // math.prod(math.factorial(a.count(p)) for p in set(a))
                        for a in multisets], dtype=V.dtype)
-    patterns = pattern_sums(V, mu, np.array(multisets).T, counts, den)
+    idx = np.array(multisets).T
+    halves = []
+    for pairs in (PAIRS5[:5], PAIRS5[5:]):
+        acc = np.ones((len(multisets), 1), dtype=V.dtype)
+        for i, j in pairs:
+            x = V[idx[i], idx[j]][:, None]
+            acc = np.concatenate([acc * (den - x), acc * x], axis=1)
+        halves.append(acc)
+    lo, hi = halves
+    weight = counts * mu[idx].prod(axis=0)
+    patterns = (hi.T @ (weight[:, None] * lo)).reshape(1 << 10)
     totals = [patterns[c].sum() for c in _class_index_arrays()]
     if exact:
         scale = den ** 10 * wden ** 5
         return tuple(Fraction(t, scale) for t in totals)
     return tuple(totals)
+
+
+def pattern_vectors(suite) -> np.ndarray:
+    """The (N, 1024) labelled induced 5-point pattern densities of a float
+    suite, by pair bitmask over PAIRS5: the homomorphism densities of the
+    34 relabelling classes, read from the suite's table, spread over the
+    masks and inverted over supersets, one in-place pass per pair bit."""
+    classes, where = np.unique(_relabel_key(), return_inverse=True)
+    t = np.stack([t_hom_many(Graph(5, [PAIRS5[p] for p in range(10) if c >> p & 1]), suite)
+                  for c in classes.tolist()], axis=1)[:, where]
+    for p in range(10):
+        has = np.arange(1 << 10) >> p & 1 == 1
+        t[:, ~has] -= t[:, has]
+    return t
 
 
 @dataclass(frozen=True)
@@ -488,8 +524,8 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
     """Evaluate every expression along two independent numeric routes.
 
     Route one expands each expression over labelled pattern coefficients
-    against the full k^5-assignment pattern vector; route two combines the
-    shipped class coordinates with the multiset class totals.  The five
+    against the suite's pattern_vectors; route two combines the shipped
+    class coordinates with the multiset class totals.  The five
     density-excess expressions get a third route through plain subgraph
     densities.  All routes must agree to within the tolerance on every
     graphon of the suite.  totals, when given, are the suite's
@@ -506,8 +542,7 @@ def cross_validate_columns(cert=None, suite=None, count=100, seed=2026,
     # class, but pattern densities are, so totals @ coordinates reproduces
     # every functional; both routes are (suite, 18) arrays
     table_route = np.array(totals, dtype=np.float64).reshape(-1, 18) @ cert.coordinates()
-    patterns = np.array([induced_pattern_vector(w) for w in suite]).reshape(-1, 1 << 10)
-    pattern_route = patterns @ _float_coefficient_matrix().T
+    pattern_route = pattern_vectors(suite) @ _float_coefficient_matrix().T
     route_gap = float(np.abs(pattern_route - table_route).max(initial=0.0))
     direct_gap = 0.0
     for key, (gname, pref) in EXCESS.items():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .certificate import conclude_commonality, load_certificate
 from .decomposition import find_triangle_decomposition
-from .density import expansion_value, m, t_hom
+from .density import _FLOAT_CAP, expansion_value, m, t_hom
 from .graphons import (
     block_graphon,
     corner_graphons,
@@ -63,7 +63,10 @@ def _load_graphon(spec: str, exact_required: bool):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("random kernel spec is random:<parts>:<seed>")
-        w = random_graphon(int(parts[1]), np.random.default_rng(int(parts[2])))
+        k = int(parts[1])
+        if k * k > _FLOAT_CAP:  # no graph with an edge fits: refuse before building
+            raise ValueError("random:%d: k^2 entries over the float cap of %d" % (k, _FLOAT_CAP))
+        w = random_graphon(k, np.random.default_rng(int(parts[2])))
     elif spec.startswith("block:"):
         with open(spec[len("block:"):]) as fh:
             w = block_graphon(parse_graph(fh.read()))

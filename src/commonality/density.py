@@ -46,10 +46,6 @@ reads the plan with the batch axis first, so that its sums over several
 vertex axes run over contiguous memory whatever the batch size, and a
 restart of the minimizer's batched descent gives the same bits as a start
 on its own.
-The 1024 labelled 5-point pattern densities come from one enumerator,
-pattern_sums, over a list of assignments of parts to the five points: all
-k^5 for induced_pattern_vector, the sorted ones with multinomial counts
-for the certificate's class totals, in float64 or in integers.
 """
 from __future__ import annotations
 
@@ -62,10 +58,6 @@ import numpy as np
 
 from .graphs import Graph, even_expansion
 from .graphons import SignedStepGraphon, StepGraphon
-
-# pair order for 5-point patterns: bit p of a mask is the pair PAIRS5[p]
-PAIRS5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-
 
 
 def elimination_order(g: Graph):
@@ -379,34 +371,3 @@ def expansion_value_many(g: Graph, graphons) -> np.ndarray:
         total += float(c) * pack.density(f, "2w-1")
     return float(Fraction(2) ** (1 - g.e)) * total
 
-
-def pattern_sums(V, mu, idx, counts, den) -> np.ndarray:
-    """The 1024 labelled 5-point pattern products summed over the (5, N)
-    assignments idx, each weighted by counts (N,) or a scalar, indexed by
-    pair bitmask over PAIRS5, in V's dtype.  Pair ij is black with factor
-    x = V[a_i, a_j] and white with den - x: den is 1 for float kernels and
-    D for integer ones.  The low five pairs and the high five are built
-    as two (N, 32) arrays, joined by one product over the assignments:
-    entry (hi, lo) is mask 32 hi + lo."""
-    weight = counts * mu[idx].prod(axis=0)
-    halves = []
-    for pairs in (PAIRS5[:5], PAIRS5[5:]):
-        acc = np.ones((idx.shape[1], 1), dtype=V.dtype)
-        for i, j in pairs:
-            x = V[idx[i], idx[j]][:, None]
-            acc = np.concatenate([acc * (den - x), acc * x], axis=1)
-        halves.append(acc)
-    lo, hi = halves
-    return (hi.T @ (weight[:, None] * lo)).reshape(1 << 10)
-
-
-def induced_pattern_vector(w: StepGraphon) -> np.ndarray:
-    """Induced densities of all 1024 labelled 5-point patterns, indexed by
-    pair bitmask over PAIRS5.  The entries sum to 1.  Every one of the k^5
-    assignments is enumerated, so the certificate keeps this only as the
-    independent route of its cross-validation."""
-    V, mu = w.as_arrays()
-    k = w.k
-    if k > 8:
-        raise ValueError("pattern vector capped at 8 parts, got %d" % k)
-    return pattern_sums(V, mu, np.indices((k,) * 5).reshape(5, -1), 1, 1.0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from commonality.density import PAIRS5
+from commonality.certificate import PAIRS5
 from commonality.graphs import Graph, canonical_form, complement
 from commonality.graphons import StepGraphon
 

@@ -15,6 +15,7 @@ import pytest
 import commonality
 from commonality.certificate import (
     EXPRESSION_KEYS,
+    PAIRS5,
     TARGET_COLUMNS,
     _coefficient_matrix,
     _float_coefficient_matrix,
@@ -30,10 +31,11 @@ from commonality.certificate import (
     evaluate_all_expressions,
     evaluate_expression,
     load_certificate,
+    pattern_vectors,
     verify_linear_algebra,
 )
-from commonality.density import induced_pattern_vector, m
-from commonality.graphs import are_isomorphic, catalog, drop_isolated
+from commonality.density import m, t_complement, t_hom
+from commonality.graphs import Graph, are_isomorphic, catalog, drop_isolated
 from commonality.graphons import (
     StepGraphon,
     constant_graphon,
@@ -42,7 +44,7 @@ from commonality.graphons import (
     random_graphon,
     random_suite,
 )
-from oracles import pattern_classes_by_canonical_form
+from oracles import induced_pattern_vector_exact, pattern_classes_by_canonical_form, t_induced
 
 RATIONAL_W = StepGraphon([[F(1, 3), F(2, 3)], [F(2, 3), F(1, 5)]], [F(1, 4), F(3, 4)])
 
@@ -232,13 +234,48 @@ def test_class_totals_partition_unity():
         assert totals.min() > -1e-12
 
 
+def test_pattern_vector():
+    suite = random_suite(3, seed=21)
+    vecs = pattern_vectors(suite)
+    assert vecs.shape == (3, 1024)
+    for w, vec in zip(suite, vecs):
+        assert abs(vec.sum() - 1) < 1e-10
+        # spot check a couple of masks against the direct induced density
+        for mask in (0, 5, 1023, 341):
+            g = Graph(5, [PAIRS5[p] for p in range(10) if mask >> p & 1])
+            assert abs(vec[mask] - t_induced(g, w)) < 1e-12
+    assert np.allclose(pattern_vectors([half()]), 1.0 / 1024)
+
+
+def test_pattern_vector_exact_matches_float():
+    vec = induced_pattern_vector_exact(RATIONAL_W)
+    assert sum(vec) == 1
+    wf = StepGraphon([[float(x) for x in row] for row in RATIONAL_W.values],
+                     [float(x) for x in RATIONAL_W.weights])
+    fvec = pattern_vectors([wf])[0]
+    assert max(abs(float(a) - b) for a, b in zip(vec, fvec)) < 1e-13
+
+
+def test_pattern_vector_past_eight_parts():
+    # no part cap of its own: the whole pattern vector of a 12-part kernel
+    # is a partition of unity whose all-black and all-white entries are the
+    # densities of k5 and of its complement
+    w = random_graphon(12, np.random.default_rng(12))
+    vec = pattern_vectors([w])[0]
+    assert abs(vec.sum() - 1) < 1e-12
+    k5 = catalog("k5")
+    assert abs(vec[1023] - t_hom(k5, w)) < 1e-13
+    assert abs(vec[0] - t_complement(k5, w)) < 1e-13
+
+
 def test_multiset_totals_match_full_pattern_vector_up_to_eight_parts():
-    # the multiset route against the k^5-assignment pattern vector, past the
-    # k <= 4 of the random suites, up to the 8-part cap
+    # the multiset route against the pattern vectors of the contraction
+    # engine, past the k <= 4 of the random suites, up to the 8-part cap of
+    # the multisets
     rng = np.random.default_rng(58)
     index = [np.array(cls.labelled_masks) for cls in enumerate_partition_classes()]
-    for w in [random_graphon(k, rng) for k in (5, 6, 7, 8)] + corner_graphons():
-        tau = induced_pattern_vector(w)
+    suite = [random_graphon(k, rng) for k in (5, 6, 7, 8)] + corner_graphons()
+    for w, tau in zip(suite, pattern_vectors(suite)):
         want = np.array([tau[idx].sum() for idx in index])
         assert np.abs(class_density_totals(w) - want).max() <= 1e-13
         ref = _float_coefficient_matrix() @ tau
@@ -271,6 +308,17 @@ def test_cross_validation_routes_agree():
     assert rep.route_gap <= 1e-8
     assert rep.direct_gap <= 1e-8
     assert rep.ok
+
+
+def test_cross_validation_reports_a_bumped_entry():
+    # one shipped coordinate off by one moves route two and not route one
+    cert = load_certificate()
+    rows = [list(row) for row in cert.matrix]
+    rows[6][4] += 1
+    bumped = dataclasses.replace(cert, matrix=tuple(map(tuple, rows)))
+    rep = cross_validate_columns(bumped, count=8)
+    assert rep.route_gap > rep.tolerance
+    assert not rep.ok
 
 
 def test_full_conclusion():

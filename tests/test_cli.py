@@ -180,6 +180,20 @@ BAD_NUMBER_RUNS = [
 ]
 
 
+def test_random_kernel_past_the_float_cap_is_refused_before_it_is_built(capsys, monkeypatch):
+    # 4097^2 entries are over 2^24, so no graph with an edge can be
+    # contracted; the kernel is never built.  4096^2 is the cap itself.
+    def refuse(*args):
+        raise AssertionError("random_graphon called")
+
+    monkeypatch.setattr("commonality.cli.random_graphon", refuse)
+    code, out, err = run(capsys, "m", "k2", "--graphon", "random:4097:1")
+    assert (code, out) == (2, "")
+    assert "float cap of 16777216" in err
+    with pytest.raises(AssertionError):
+        main(["m", "k2", "--graphon", "random:4096:1"])
+
+
 def test_parse_errors_exit_two(capsys):
     assert run(capsys, "m", "nosuchgraph", "--graphon", "half")[0] == 2
     assert run(capsys, "m", "k3", "--graphon", "random:badspec")[0] == 2

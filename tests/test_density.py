@@ -23,13 +23,11 @@ from commonality.inequalities import standard_battery
 from commonality.search import gradient_m
 from commonality.density import (
     COLOURS,
-    PAIRS5,
     _packed,
     _t_batch,
     elimination_order,
     expansion_value,
     expansion_value_many,
-    induced_pattern_vector,
     integer_kernel,
     m,
     m_many,
@@ -39,7 +37,7 @@ from commonality.density import (
     t_signed,
     t_signed_many,
 )
-from oracles import enumerated_density, induced_pattern_vector_exact, t_induced
+from oracles import enumerated_density, t_induced
 from strategies import seeded_rational_kernel
 
 RATIONAL_W = StepGraphon(
@@ -465,29 +463,6 @@ def test_induced_at_half():
     c5 = catalog("c5")
     assert t_induced(c5, half()) + t_induced(complement(c5), half()) == Fraction(1, 512)
     assert t_induced(catalog("k3"), half()) == Fraction(1, 8)
-
-
-def test_pattern_vector():
-    suite = random_suite(3, seed=21)
-    for w in suite:
-        vec = induced_pattern_vector(w)
-        assert vec.shape == (1024,)
-        assert abs(vec.sum() - 1) < 1e-10
-        # spot check a couple of masks against the direct induced density
-        for mask in (0, 5, 1023, 341):
-            g = Graph(5, [PAIRS5[p] for p in range(10) if mask >> p & 1])
-            assert abs(vec[mask] - t_induced(g, w)) < 1e-12
-    vec_half = induced_pattern_vector(half())
-    assert np.allclose(vec_half, 1.0 / 1024)
-
-
-def test_pattern_vector_exact_matches_float():
-    vec = induced_pattern_vector_exact(RATIONAL_W)
-    assert sum(vec) == 1
-    wf = StepGraphon([[float(x) for x in row] for row in RATIONAL_W.values],
-                     [float(x) for x in RATIONAL_W.weights])
-    fvec = induced_pattern_vector(wf)
-    assert max(abs(float(a) - b) for a, b in zip(vec, fvec)) < 1e-12
 
 
 def test_m_on_complement_pair():

@@ -27,6 +27,10 @@ def test_layer_times_runs():
     assert sweep["warm_ms"] > 0
     assert sorted(times["battery_ms"]) == ["exact:k2", "float:k2", "float:k3", "float:k4"]
     assert all(ms > 0 for ms in times["battery_ms"].values())
+    routes = times["certificate_ms"]
+    assert sorted(routes["class_totals"]) == ["exact:k2", "float:k2", "float:k3", "float:k4"]
+    assert all(ms > 0 for ms in routes["class_totals"].values())
+    assert routes["pattern_vectors"] > 0
     assert sorted(times["ramsey_ms"], key=int) == [str(n) for n in mod.RAMSEY_POINTS]
     assert all(ms > 0 for ms in times["ramsey_ms"].values())
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)

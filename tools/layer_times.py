@@ -24,6 +24,14 @@ suite-sweep suite at seed 1):
   density is a table miss, in milliseconds: the median over seeded float
   kernels with 2, 3 and 4 parts and over 2-part kernels with entries in
   twelfths on the exact route;
+- certificate_ms: the two pattern routes of the five-point certificate, in
+  milliseconds.  class_totals is certificate.class_density_totals on one
+  fresh kernel (its cache never hits), the median over seeded float
+  kernels with 2, 3 and 4 parts and, exactly, over 2-part kernels with
+  entries in twelfths; pattern_vectors is certificate.pattern_vectors on
+  the 64-kernel suite of verify-certificate's default run (60 seeded
+  kernels and the four corners) with the pack cache cleared before each
+  call (a median);
 - ramsey_ms: search.exact_ramsey_multiplicity(k3, n) at n = 6, 7 and 8,
   in milliseconds, each run with the caches of graphs.graph_classes and
   graphs.canonical_form cleared first, so that it includes building the
@@ -39,7 +47,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from commonality import decomposition, density, graphons, graphs, inequalities, search
+from commonality import (certificate, decomposition, density, graphons, graphs, inequalities,
+                         search)
 
 SUITE_SIZE = 1000
 FRESH_TREES = 36
@@ -80,6 +89,7 @@ def layer_times(repeat=15, number=20):
         for name in GRAPHS}
     times["catalog_sweep"] = catalog_sweep(suite, repeat)
     times["battery_ms"] = battery_ms(repeat)
+    times["certificate_ms"] = certificate_ms(repeat)
     times["ramsey_ms"] = ramsey_ms(min(repeat, 3))
     return times
 
@@ -118,17 +128,30 @@ def _twelfths_kernel(rng):
     return graphons.StepGraphon([[a, b], [b, c]], [wt, 1 - wt])
 
 
-def battery_ms(repeat):
-    rng = np.random.default_rng(3)
+def _per_fresh_kernel_ms(fn, repeat, seed):
+    # the median of fn on seeded kernels it has not seen, float at 2, 3 and
+    # 4 parts and exact at 2, so no per-kernel cache is read
+    rng = np.random.default_rng(seed)
     makers = {f"float:k{k}": lambda k=k: graphons.random_graphon(k, rng) for k in (2, 3, 4)}
     makers["exact:k2"] = lambda: _twelfths_kernel(rng)
     out = {}
     for label, make in makers.items():
         kernels = [make() for _ in range(repeat)]
-        seconds = [timeit.timeit(lambda w=w: inequalities.standard_battery(w), number=1)
-                   for w in kernels]
+        seconds = [timeit.timeit(lambda w=w: fn(w), number=1) for w in kernels]
         out[label] = round(statistics.median(seconds) * 1e3, 3)
     return out
+
+
+def battery_ms(repeat):
+    return _per_fresh_kernel_ms(inequalities.standard_battery, repeat, 3)
+
+
+def certificate_ms(repeat):
+    suite = graphons.random_suite(60, 2026) + graphons.corner_graphons()
+    seconds = timeit.repeat(lambda: certificate.pattern_vectors(suite),
+                            setup=density._packed.cache_clear, number=1, repeat=repeat)
+    return {"class_totals": _per_fresh_kernel_ms(certificate.class_density_totals, repeat, 4),
+            "pattern_vectors": round(statistics.median(seconds) * 1e3, 3)}
 
 
 def ramsey_ms(repeat):
