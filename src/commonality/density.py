@@ -3,8 +3,8 @@
 Homomorphism densities are evaluated by variable elimination: each edge is a
 factor on two vertex variables, vertices are summed out in a low-fill order,
 and everything is vectorized over a batch of kernels with the same part
-count.  Each (graph, part count) is compiled once into a cached plan of
-elimination steps, with the batch as the last axis of every array: a
+count.  Each graph is compiled once, for every part count, into a cached
+plan of elimination steps, with the batch as the last axis of every array: a
 contraction reads its (B, k, k) batch as a contiguous (k, k, B) array, so
 every broadcast product and every sum runs its innermost loop over the B
 kernels rather than over a vertex axis of length k.  Every density is a
@@ -13,9 +13,11 @@ of its kernels already in that layout, in three colours: w, 1 - w and
 2w - 1.  Its table contracts the density of one graph in one colour once
 per group, stores it read-only and reads it after that.
 A suite is packed once, as float64, and cached by value, keyed on its
-kernels, which hash and compare by their entries.  t_hom_many, m_many,
-t_signed_many and expansion_value_many are reads of its table, so m_many
-after t_hom_many contracts only 1 - w, and the expansions of a sweep
+kernels, which compare by their entries; the key hashes only the suite's
+length and end kernels, so a repeat read costs neither a pack nor a hash
+of every kernel.  t_hom_many, m_many, t_signed_many and
+expansion_value_many are reads of its table, so m_many after t_hom_many
+contracts only 1 - w, and the expansions of a sweep
 contract each subgraph class they share once, in every round.  A round of
 perfbench's suite-sweep requests about 217 distinct entries: 153 for the
 catalog graphs with at most 12 edges (their "2w-1" subgraph classes, w
@@ -53,6 +55,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,54 +65,99 @@ from .graphons import SignedStepGraphon, StepGraphon
 
 def elimination_order(g: Graph):
     """Min-degree-with-fill elimination order over non-isolated vertices.
-    Returns (order, width) where width is the largest neighbourhood summed over."""
-    nbr = {v: {u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n) if g.adj[v]}
+    Returns (order, width) where width is the largest neighbourhood summed over.
+    Neighbourhoods are bitmasks, as in g.adj.  Ties on degree go to the
+    lowest vertex: min returns the first of equal keys, and degree keeps its
+    keys in ascending order, since an update leaves a key where it is."""
+    nbr = {v: a for v, a in enumerate(g.adj) if a}
+    degree = {v: a.bit_count() for v, a in nbr.items()}
     order = []
     width = 0
-    while nbr:
-        v = min(nbr, key=lambda x: (len(nbr[x]), x))
+    while degree:
+        v = min(degree, key=degree.get)
         live = nbr.pop(v)
-        width = max(width, len(live))
-        for a in live:
-            nbr[a].discard(v)
-            nbr[a] |= live - {a}
+        width = max(width, degree.pop(v))
+        rest = live
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            nbr[a] = fill = (nbr[a] | live) & ~low & ~(1 << v)
+            degree[a] = fill.bit_count()
+            rest ^= low
         order.append(v)
     return order, width
 
 
-@lru_cache(maxsize=512)
-def _plan(g: Graph, k: int):
-    """Compiled elimination of g at k parts, as (steps, width).
+class _Plan(NamedTuple):
+    """A compiled elimination of one graph; see _plan."""
+    steps: tuple
+    grad_steps: tuple
+    width: int
 
-    Factor slots start as one per sorted edge (each the (k, k, B) kernel);
-    every eliminated vertex is one step (inputs, weight_shape, axis, scalar),
-    where inputs are (slot, broadcast shape) pairs in slot order and each
-    shape ends with -1 for the batch, so the innermost loop of every
-    broadcast product and every sum runs over the kernels, not over a
-    vertex axis of length k.  A step multiplies its inputs, sums the vertex
-    out against the weights and either appends the result as a new slot or,
-    when no variable is left, multiplies it into the result.  width is
-    elimination_order's, for the size guards.  512 entries keep the
-    plans of a sweep's catalog graphs at every part count while fresh
-    graphs pass through."""
+
+@lru_cache(maxsize=512)
+def _plan(g: Graph) -> _Plan:
+    """Compiled elimination of g, for every part count.
+
+    Factor slots start as one per sorted edge (each the kernel); every
+    eliminated vertex is one step, which multiplies the slots that hold it,
+    sums the vertex out against the weights and either appends the result
+    as a new slot or, when no variable is left, multiplies it into the
+    result.  An input is read through an index tuple of slice(None) and None,
+    one per variable of the step in sorted order, so that it broadcasts
+    against the others at any part count.  steps are the batch-last walk
+    of _t_batch, (inputs, weight_idx, axis, scalar) with inputs (slot,
+    index) pairs in slot order and the batch after the vertex axes, so the
+    innermost loop of every broadcast product and every sum runs over the
+    kernels, not over a vertex axis of length k.  grad_steps are the same
+    steps batch first, as _t_batch_grad reads them: (inputs, weight_idx,
+    axis, scalar, weight_axes), with inputs (slot, index, reduced), where
+    reduced are the axes an input's gradient is summed over and
+    weight_axes those the weights' gradient is; inputs that hold the same
+    variables of their step share these tuples.  width is
+    elimination_order's, for the size guards.  Each vertex keeps the live
+    slots that hold it, so compiling costs about the size of the plan.
+    512 entries, one a graph, keep the plans of a sweep's catalog graphs and
+    their subgraph classes while fresh graphs pass through."""
     order, width = elimination_order(g)
     slot_vars = g.sorted_edges()
-    live = set(range(len(slot_vars)))
-    steps = []
+    holders = [set() for _ in range(g.n)]
+    for i, (a, b) in enumerate(slot_vars):
+        holders[a].add(i)
+        holders[b].add(i)
+    patterns = {}
+
+    def reads(held):
+        # the index tuples and summed axes of one pattern of held variables
+        # (one bool per variable of a step), built once per plan
+        if held not in patterns:
+            axes = tuple([slice(None) if h else None for h in held])
+            patterns[held] = (axes + (...,), (...,) + axes,
+                              tuple([a for a, h in enumerate(held, 1) if not h]))
+        return patterns[held]
+
+    steps, grad_steps = [], []
     for v in order:
-        involved = sorted(i for i in live if v in slot_vars[i])
-        live.difference_update(involved)
-        union = tuple(sorted(set().union(*(slot_vars[i] for i in involved))))
-        inputs = tuple((i, tuple(k if t in slot_vars[i] else 1 for t in union) + (-1,))
-                       for i in involved)
+        involved = sorted(holders[v])
+        union = sorted(set().union(*[slot_vars[i] for i in involved]))
+        last, first = [], []
+        for i in involved:
+            held = slot_vars[i]
+            last_idx, first_idx, reduced = reads(tuple([t in held for t in union]))
+            last.append((i, last_idx))
+            first.append((i, first_idx, reduced))
+            for t in held:
+                holders[t].discard(i)
         axis = union.index(v)
-        weight_shape = tuple(k if t == v else 1 for t in union) + (-1,)
-        rest = tuple(u for u in union if u != v)
+        weight_last, weight_first, weight_axes = reads(tuple([t == v for t in union]))
+        rest = tuple([t for t in union if t != v])
         if rest:
-            live.add(len(slot_vars))
+            for t in rest:
+                holders[t].add(len(slot_vars))
             slot_vars.append(rest)
-        steps.append((inputs, weight_shape, axis, not rest))
-    return tuple(steps), width
+        steps.append((tuple(last), weight_last, axis, not rest))
+        grad_steps.append((tuple(first), weight_first, axis + 1, not rest, weight_axes))
+    return _Plan(tuple(steps), tuple(grad_steps), width)
 
 
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -118,26 +166,27 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     of Fractions contract exactly.  Both are read in the plan's batch-last
     layout, V as a contiguous (k, k, B) and mu as (k, B): a batch given as
     the transposed view of such arrays is read without a copy, any other
-    layout is copied into it once.  Isolated vertices contribute factor 1
-    since each weight vector sums to 1."""
-    B, k = mu.shape
+    layout is copied into it once.  Each step reads its inputs as slots[i][idx]
+    and its weights as mu[weight_idx], views that broadcast whatever k is.
+    Isolated vertices contribute factor 1 since each weight vector sums to
+    1."""
+    B = mu.shape[0]
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
         return acc
-    steps, _ = _plan(g, k)
     V = np.ascontiguousarray(V.transpose(1, 2, 0))
     mu = np.ascontiguousarray(mu.T)
     slots = [V] * g.e
-    for inputs, weight_shape, axis, scalar in steps:
-        (i, shape), *more = inputs
-        joint = slots[i].reshape(shape)
+    for inputs, weight_idx, axis, scalar in _plan(g).steps:
+        (i, idx), *more = inputs
+        joint = slots[i][idx]
         slots[i] = None
-        for i, shape in more:
-            joint = joint * slots[i].reshape(shape)
+        for i, idx in more:
+            joint = joint * slots[i][idx]
             slots[i] = None
         # a product of two or more inputs is a fresh array and takes the
         # weights in place; a lone input is a view of V or of a slot
-        joint = np.multiply(joint, mu.reshape(weight_shape), out=joint if more else None)
+        joint = np.multiply(joint, mu[weight_idx], out=joint if more else None)
         joint = joint.sum(axis=axis)
         if scalar:
             acc = acc * joint
@@ -152,44 +201,41 @@ def _t_batch_grad(g: Graph, V: np.ndarray, mu: np.ndarray, with_weights: bool):
     entry as its own variable; dmu stays zero unless with_weights, and
     leaves out isolated vertices, which are not in the plan.
 
-    This walk keeps the batch first: it reads each plan step with the batch
-    axis moved to the front.  Its sums run over several vertex axes at once,
-    and numpy orders such a sum differently over contiguous and over
-    strided axes.  With the batch first the summed axes are contiguous
-    whatever B is; with the batch last they would be contiguous only for a
-    batch of one, and the minimizer's batched descent would no longer
-    reproduce a single start bit for bit."""
+    This walk keeps the batch first: it reads the plan's grad_steps, each
+    step with the batch axis in front.  Its sums run over several vertex
+    axes at once, and numpy orders such a sum differently over contiguous
+    and over strided axes.  With the batch first the summed axes are
+    contiguous whatever B is; with the batch last they would be contiguous
+    only for a batch of one, and the minimizer's batched descent would no
+    longer reproduce a single start bit for bit."""
     B, k = mu.shape
     dmu = np.zeros((B, k))
     if not g.edges:
         return np.ones(B), np.zeros((B, k, k)), dmu
-    steps = [(tuple((i, (-1,) + shape[:-1]) for i, shape in inputs), (-1,) + weight_shape[:-1],
-              axis + 1, scalar)
-             for inputs, weight_shape, axis, scalar in _capped_plan(g, k, False)]
+    steps = _capped_plan(g, k, False).grad_steps
     slots = [V] * g.e
     tape, scalars = [], []
-    for inputs, weight_shape, axis, scalar in steps:
-        xs = [slots[i].reshape(shape) for i, shape in inputs]
+    for inputs, weight_idx, axis, scalar, _ in steps:
+        xs = [slots[i][idx] for i, idx, _ in inputs]
         joint = reduce(np.multiply, xs)
-        weight = mu.reshape(weight_shape)
+        weight = mu[weight_idx]
         tape.append((xs, joint, weight, len(scalars) if scalar else len(slots)))
         (scalars if scalar else slots).append((joint * weight).sum(axis=axis))
     # each slot feeds exactly one step, so backwards every slot's gradient
     # is complete before the step that produced it is reached
     grads = [None] * len(slots)
-    for (inputs, _, axis, scalar), (xs, joint, weight, out) in zip(steps[::-1], tape[::-1]):
+    for step, (xs, joint, weight, out) in zip(steps[::-1], tape[::-1]):
+        inputs, _, axis, scalar, weight_axes = step
         if scalar:
             up = reduce(np.multiply, scalars[:out] + scalars[out + 1:], np.ones(B))
         else:
             up = grads[out]
         up = np.expand_dims(up, axis)
         if with_weights:
-            dw = up * joint
-            dmu += dw.sum(axis=tuple(a for a in range(1, dw.ndim) if a != axis))
-        for j, (i, shape) in enumerate(inputs):
+            dmu += (up * joint).sum(axis=weight_axes)
+        for j, (i, _, reduced) in enumerate(inputs):
             d = reduce(np.multiply, xs[:j] + xs[j + 1:], up * weight)
-            reduced = tuple(a for a in range(1, d.ndim) if shape[a] == 1)
-            grads[i] = d.sum(axis=reduced, keepdims=True).reshape(slots[i].shape)
+            grads[i] = d.sum(axis=reduced)
     return reduce(np.multiply, scalars, np.ones(B)), sum(grads[:g.e]), dmu
 
 
@@ -210,14 +256,14 @@ _EXACT_CAP = 1 << 20
 _FLOAT_CAP = 1 << 24
 
 
-def _capped_plan(g: Graph, k: int, exact: bool):
-    """The steps of _plan(g, k), or ValueError when k^(width+1) is over the
-    exact or the float cap."""
-    steps, width = _plan(g, k)
-    if k ** (width + 1) > (_EXACT_CAP if exact else _FLOAT_CAP):
+def _capped_plan(g: Graph, k: int, exact: bool) -> _Plan:
+    """_plan(g), or ValueError when k^(width+1) is over the exact or the
+    float cap."""
+    plan = _plan(g)
+    if k ** (plan.width + 1) > (_EXACT_CAP if exact else _FLOAT_CAP):
         raise ValueError("%s evaluation too large: %d parts at elimination width %d"
-                         % ("exact" if exact else "float", k, width))
-    return steps
+                         % ("exact" if exact else "float", k, plan.width))
+    return plan
 
 
 def _contract(groups, n, exact, g, colour):
@@ -227,7 +273,7 @@ def _contract(groups, n, exact, g, colour):
     vertices the plan eliminates (isolated ones contribute 1)."""
     out = np.empty(n, dtype=object if exact else np.float64)
     for idxs, mu, colours, den in groups:
-        steps = _capped_plan(g, mu.shape[1], exact)
+        steps = _capped_plan(g, mu.shape[1], exact).steps
         t = _t_batch(g, colours[colour], mu)
         if exact:
             D, E = den
@@ -288,13 +334,30 @@ class _Pack:
             lambda g, colour: _contract(groups, n, exact, g, colour))
 
 
+class _Suite(tuple):
+    """A suite of kernels as the key of _packed.  It compares by value like
+    any tuple, and tuple equality tries identity before __eq__, so a suite
+    compared with the key it was packed under is one C-level pass over the
+    same kernel objects.  Its hash covers only the length and the first and
+    last kernels: equal suites have equal ends, so the hash is consistent
+    with equality, and a lookup hashes two kernels rather than all of them."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((len(self),) + self[:1] + self[-1:])
+
+
 @lru_cache(maxsize=4)
-def _packed(kernels: tuple) -> _Pack:
-    """The float _Pack of a suite, cached by value: kernels hash and compare
-    by their entries, so a list changed in place makes a new key and no
-    stale pack is read.  Four entries hold the suites a sweep or a
-    certificate check reuses, and bound the density tables kept alive with
-    them: 16 MB for four 1000-kernel suites."""
+def _packed(kernels: _Suite) -> _Pack:
+    """The float _Pack of a suite, cached by value under its _Suite key:
+    every reader of a suite's pack builds that key, so no suite is packed
+    twice.  Kernels compare by their entries, so a list changed in place,
+    even away from its ends, makes a key equal to no earlier one and no
+    stale pack is read, and a new list of equal kernels reads the same
+    pack.  Four entries hold the suites a sweep or a certificate check
+    reuses, and bound the density tables kept alive with them: 16 MB for
+    four 1000-kernel suites."""
     return _Pack(kernels)
 
 
@@ -336,7 +399,7 @@ def t_signed(g: Graph, u: SignedStepGraphon):
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
-    return _packed(tuple(graphons)).density(g, "w").copy()
+    return _packed(_Suite(graphons)).density(g, "w").copy()
 
 
 def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
@@ -350,7 +413,7 @@ def m(g: Graph, w: StepGraphon):
 
 
 def m_many(g: Graph, graphons) -> np.ndarray:
-    pack = _packed(tuple(graphons))
+    pack = _packed(_Suite(graphons))
     return pack.density(g, "w") + pack.density(g, "1-w")
 
 
@@ -365,7 +428,7 @@ def expansion_value(g: Graph, w: StepGraphon):
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:
-    pack = _packed(tuple(graphons))
+    pack = _packed(_Suite(graphons))
     total = np.zeros(len(graphons))
     for f, c in even_expansion(g).items():
         total += float(c) * pack.density(f, "2w-1")

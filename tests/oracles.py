@@ -8,7 +8,8 @@ form (itself checked against canonical_brute):
 pattern_classes_by_canonical_form names the certificate's pattern classes
 by it, which shares no code with the certificate's relabelling product, and
 graph_classes_brute classifies every labelled graph by it, with no growth
-from smaller classes."""
+from smaller classes.  elimination_order is the package's min-degree order
+as it was first written, on sets of neighbours rather than bitmasks."""
 import itertools
 from fractions import Fraction
 
@@ -216,3 +217,20 @@ def is_triangle_tree(g: Graph) -> bool:
 
     return any(extend(frozenset([t]), set(t), set(itertools.combinations(t, 2)))
                for t in tris)
+
+
+def elimination_order(g: Graph):
+    """Min-degree-with-fill elimination order over non-isolated vertices.
+    Returns (order, width) where width is the largest neighbourhood summed over."""
+    nbr = {v: {u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n) if g.adj[v]}
+    order = []
+    width = 0
+    while nbr:
+        v = min(nbr, key=lambda x: (len(nbr[x]), x))
+        live = nbr.pop(v)
+        width = max(width, len(live))
+        for a in live:
+            nbr[a].discard(v)
+            nbr[a] |= live - {a}
+        order.append(v)
+    return order, width

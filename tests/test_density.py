@@ -23,6 +23,7 @@ from commonality.inequalities import standard_battery
 from commonality.search import gradient_m
 from commonality.density import (
     COLOURS,
+    _Suite,
     _packed,
     _t_batch,
     elimination_order,
@@ -37,6 +38,7 @@ from commonality.density import (
     t_signed,
     t_signed_many,
 )
+from oracles import elimination_order as elimination_order_sets
 from oracles import enumerated_density, t_induced
 from strategies import seeded_rational_kernel
 
@@ -174,7 +176,7 @@ def test_suite_pack_is_cached_and_read_without_copies():
     # rebuilt, but its kernels are equal, so it hits too
     assert _packed.cache_info().hits == hits + 4
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    for idxs, mu, colours, den in _packed(tuple(suite)).groups:
+    for idxs, mu, colours, den in _packed(_Suite(suite)).groups:
         # a suite packs float kernels, the corners included
         assert den is None and all(a.dtype == np.float64 for a in colours.values())
         assert sorted(colours) == sorted(COLOURS)
@@ -210,7 +212,7 @@ def test_density_table_cold_and_warm_match_per_group_contractions():
         g = catalog(name)
         ref = {c: _per_group(g, suite, c) for c in COLOURS}
         _packed.cache_clear()
-        pack = _packed(tuple(suite))
+        pack = _packed(_Suite(suite))
         cold = {c: pack.density(g, c) for c in COLOURS}
         assert pack.density.cache_info().misses == len(COLOURS)
         warm = {c: pack.density(g, c) for c in COLOURS}
@@ -264,7 +266,7 @@ def test_a_sweep_round_keeps_the_catalog_in_the_table(monkeypatch):
     rng = random.Random(21)
     trees = [random_triangle_tree(rng, 1 + i % 12) for i in range(36)]
     _packed.cache_clear()
-    table = _packed(tuple(suite)).density
+    table = _packed(_Suite(suite)).density
 
     def sweep():
         return [(expansion_value_many(g, suite), m_many(g, suite)) for g in graphs]
@@ -300,7 +302,7 @@ def test_writing_a_returned_array_leaves_the_table_alone():
                 t_signed_many(g, suite)):
         out[:] = -7.0
     assert np.array_equal(t_hom_many(g, suite), before)
-    entry = _packed(tuple(suite)).density(g, "w")
+    entry = _packed(_Suite(suite)).density(g, "w")
     assert not entry.flags.writeable
     with pytest.raises(ValueError):
         entry[0] = 0.0
@@ -309,7 +311,7 @@ def test_writing_a_returned_array_leaves_the_table_alone():
 def test_evicting_a_pack_frees_its_densities():
     suite = _shuffled_suite(34)
     m_many(catalog("k3"), suite)
-    pack = _packed(tuple(suite))
+    pack = _packed(_Suite(suite))
     refs = [weakref.ref(pack), weakref.ref(pack.density(catalog("k3"), "w"))]
     del pack
     _packed.cache_clear()
@@ -335,6 +337,53 @@ def test_many_after_the_suite_list_changes_in_place():
             assert abs(ms[i] - m(g, w)) < 1e-12, change
             assert abs(xs[i] - expansion_value(g, w)) < 1e-12, change
             assert abs(ss[i] - t_signed(g, w.signed())) < 1e-12, change
+
+
+def test_one_plan_serves_every_part_count():
+    # a fresh graph over a suite with 1 to 5 parts compiles one plan, and
+    # reads the same values as a contraction per part count
+    suite = random_suite(15, seed=41, ks=(1, 2, 3, 4, 5))
+    h = random_triangle_tree(random.Random(41), 9)
+    density._plan.cache_clear()
+    got = t_hom_many(h, suite)
+    assert density._plan.cache_info().misses == 1
+    assert np.array_equal(got, _per_group(h, suite, "w"))
+
+
+def test_a_repeat_read_hashes_two_kernels(monkeypatch):
+    suite = random_suite(1000, seed=42)
+    g = catalog("k3")
+    first = m_many(g, suite)
+    hashed = []
+    plain = StepGraphon.__hash__
+
+    def counting(w):
+        hashed.append(w)
+        return plain(w)
+
+    monkeypatch.setattr(StepGraphon, "__hash__", counting)
+    again = m_many(g, suite)
+    assert len(hashed) <= 2
+    assert np.array_equal(again, first)
+
+
+def test_a_suite_key_compares_every_kernel():
+    suite = random_suite(50, seed=43, ks=(2, 3))
+    g = catalog("c5")
+    before = t_hom_many(g, suite)
+    pack = _packed(_Suite(suite))
+    # a new list of equal kernels reads the same pack
+    equal = [StepGraphon(w.values, w.weights) for w in suite]
+    assert equal[7] is not suite[7] and _packed(_Suite(equal)) is pack
+    # a middle kernel replaced in place keeps the hash, which covers only
+    # the ends, and still makes a fresh pack with the new kernel's value
+    w = random_suite(1, seed=44, ks=(4,))[0]
+    suite[25] = w
+    assert hash(_Suite(suite)) == hash(_Suite(equal))
+    after = t_hom_many(g, suite)
+    assert _packed(_Suite(suite)) is not pack
+    assert abs(after[25] - t_hom(g, w)) < 1e-12 and after[25] != before[25]
+    assert np.array_equal(np.delete(after, 25), np.delete(before, 25))
 
 
 def test_one_kernel_is_the_pack_of_w_and_its_complement():
@@ -441,6 +490,18 @@ def test_elimination_order_widths():
     assert elimination_order(catalog("jst"))[1] == 2
     order, _ = elimination_order(catalog("c4"))
     assert sorted(order) == [0, 1, 2, 3]
+
+
+def test_elimination_order_matches_the_set_based_oracle():
+    rng = random.Random(24)
+    graphs = [g for _, g in catalog_all()]
+    graphs += [random_triangle_tree(rng, 1 + i % 12) for i in range(300)]
+    for n in range(11):
+        for p in (0.2, 0.5, 0.8):
+            graphs += [Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                 if rng.random() < p]) for _ in range(10)]
+    for g in graphs:
+        assert elimination_order(g) == elimination_order_sets(g), g
 
 
 def test_induced_partition_of_unity():

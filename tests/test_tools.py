@@ -14,8 +14,10 @@ def test_layer_times_runs():
     spec.loader.exec_module(mod)
     times = json.loads(json.dumps(mod.layer_times(repeat=1, number=1)))
     assert times["suite_size"] == 1000
-    for key in ("pack_miss_us", "pack_hit_us", "cache_key_us", "table_hit_us"):
+    for key in ("pack_miss_us", "pack_hit_us", "cache_key_us", "table_hit_us", "plan_us"):
         assert times[key] > 0, key
+    # one plan serves every part count of the suite
+    assert times["plans_per_fresh_graph"] == 1
     sweep = times["catalog_sweep"]
     assert sweep["graphs"] > 0 and sweep["ms"] > 0
     # the graphs share subgraph classes, so the table serves some requests

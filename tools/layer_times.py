@@ -8,7 +8,13 @@ suite-sweep suite at seed 1):
 
 - pack_miss_us: density._packed on a cold cache, 1000 kernels;
 - pack_hit_us: the same call with the pack cached, key included;
-- cache_key_us: building and hashing the tuple that keys the cache;
+- cache_key_us: building and hashing the density._Suite that keys the
+  cache, as every *_many call does;
+- plan_us: density._plan on a cold cache, for a fresh triangle tree with
+  12 bags;
+- plans_per_fresh_graph: the plans compiled (density._plan misses) when
+  t_hom_many reads one fresh triangle tree over the 1000 kernels, which
+  have three part counts;
 - table_hit_us: reading one density the pack's table already holds;
 - t_batch_us: density._t_batch on three graphs at batch sizes 1, 32 and
   1000, with 3-part kernels in the batch-last layout the pack holds;
@@ -67,21 +73,23 @@ def layer_times(repeat=15, number=20):
 
     def miss():
         density._packed.cache_clear()
-        density._packed(tuple(suite))
+        density._packed(density._Suite(suite))
 
     times = {
         "suite_size": SUITE_SIZE,
         "pack_miss_us": _median_us(miss, 1, repeat),
-        "cache_key_us": _median_us(lambda: hash(tuple(suite)), number, repeat),
+        "cache_key_us": _median_us(lambda: hash(density._Suite(suite)), number, repeat),
     }
-    pack = density._packed(tuple(suite))
-    times["pack_hit_us"] = _median_us(lambda: density._packed(tuple(suite)), number, repeat)
+    pack = density._packed(density._Suite(suite))
+    times["pack_hit_us"] = _median_us(lambda: density._packed(density._Suite(suite)), number,
+                                      repeat)
+    times.update(plan_times(suite, repeat))
     k3 = graphs.catalog("k3")
     pack.density(k3, "w")
     times["table_hit_us"] = _median_us(lambda: pack.density(k3, "w"), number, repeat)
     # (mu, colours) of one 3-part group per batch size
-    batches = {B: density._packed(tuple(graphons.random_suite(B, 2, ks=(3,)))).groups[0][1:3]
-               for B in BATCH_SIZES}
+    batches = {B: density._packed(density._Suite(graphons.random_suite(B, 2, ks=(3,))))
+               .groups[0][1:3] for B in BATCH_SIZES}
     times["t_batch_us"] = {
         name: {str(B): _median_us(lambda g=graphs.catalog(name), V=colours["w"], mu=mu:
                                   density._t_batch(g, V, mu), number, repeat)
@@ -94,9 +102,21 @@ def layer_times(repeat=15, number=20):
     return times
 
 
+def plan_times(suite, repeat):
+    rng = random.Random(2)
+    tree = decomposition.random_triangle_tree(rng, 12)
+    seconds = timeit.repeat(lambda: density._plan(tree), setup=density._plan.cache_clear,
+                            number=1, repeat=repeat)
+    fresh = decomposition.random_triangle_tree(rng, 12)
+    misses = density._plan.cache_info().misses
+    density.t_hom_many(fresh, suite)
+    return {"plan_us": round(statistics.median(seconds) * 1e6, 2),
+            "plans_per_fresh_graph": density._plan.cache_info().misses - misses}
+
+
 def catalog_sweep(suite, repeat):
     catalog = [g for _, g in graphs.catalog_all() if g.e <= 12]
-    table = density._packed(tuple(suite)).density
+    table = density._packed(density._Suite(suite)).density
 
     def sweep():
         for g in catalog:
