@@ -9,31 +9,31 @@ contraction reads its (B, k, k) batch as a contiguous (k, k, B) array, so
 every broadcast product and every sum runs its innermost loop over the B
 kernels rather than over a vertex axis of length k.  Every density is a
 read of one density table on a pack.  A pack holds each part-count group
-of its kernels already in that layout, in three colours: w, 1 - w and
-2w - 1.  Its table contracts the density of one graph in one colour once
-per group, stores it read-only and reads it after that.
+of its kernels already in that layout, as two batches: w and 1 - w side
+by side, and 2w - 1.  Its table contracts each batch once per graph and
+group, stores the result read-only and reads it after that: one entry
+holds t_g(w) and t_g(1 - w), the signed one t_g(2w - 1).
 A suite is packed once, as float64, and cached by value, keyed on its
 kernels, which compare by their entries; the key hashes only the suite's
 length and end kernels, so a repeat read costs neither a pack nor a hash
 of every kernel.  t_hom_many, m_many, t_signed_many and
 expansion_value_many are reads of its table, so m_many after t_hom_many
-contracts only 1 - w, and the expansions of a sweep
-contract each subgraph class they share once, in every round.  A round of
-perfbench's suite-sweep requests about 217 distinct entries: 153 for the
-catalog graphs with at most 12 edges (their "2w-1" subgraph classes, w
-and 1 - w), each read again one round later, and about 64 for fresh
-triangle trees and pendant gluings, read in one op only.  The table keeps
-512 entries, more than twice that reuse distance, so a steady round
-contracts only its fresh graphs; at 8 KB an entry on a 1000-kernel suite
-that is at most 4 MB a pack.  The table lives with its pack: _packed's
-four entries bound its memory at 16 MB, and evicting a pack frees its
-densities.  Reusing one suite list across the *_many calls packs it once,
-and no kernel objects are built.
-A single kernel is the pack of the suite (w, 1 - w), so t_hom,
-t_complement and m read one contraction of a batch of two; a signed
-kernel is the pack of (u,) for t_signed, and expansion_value reads the
-pack of 2w - 1 the same way, one contraction of a batch of one per
-subgraph class.  Float kernels contract in float64.  Exact kernels
+contracts nothing, and the expansions of a sweep contract each subgraph
+class they share once, in every round.  A round of perfbench's
+suite-sweep requests about 146 distinct entries: 116 for the catalog
+graphs with at most 12 edges (their signed subgraph classes and their
+own pair entries), each read again one round later, and about 30 for
+fresh triangle trees and pendant gluings, read in one op only.  The
+table keeps 512 entries, more than three times that reuse distance, so a
+steady round contracts only its fresh graphs; at 16 KB an entry on a
+1000-kernel suite that is at most 8 MB a pack.  The table lives with its
+pack: _packed's four entries bound its memory at 32 MB, and evicting a
+pack frees its densities.  Reusing one suite list across the *_many
+calls packs it once, and no kernel objects are built.
+A single kernel is a pack of one like any other, so t_hom, t_complement
+and m read one contraction of its pair batch, and expansion_value one
+contraction of its signed batch per subgraph class; no 1 - w or 2w - 1
+kernel is built.  Float kernels contract in float64.  Exact kernels
 contract in Python integers over each kernel's common denominators,
 values p/D and weights q/E, and divide once at the end, so a density
 costs k^(width+1) integer operations per eliminated vertex and one gcd.
@@ -245,9 +245,6 @@ def _m_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return _t_batch(g, V, mu) + _t_batch(g, 1.0 - V, mu)
 
 
-# the colours a pack holds each group in, and the keys of its density table
-COLOURS = ("w", "1-w", "2w-1")
-
 # Caps on the widest array one kernel's contraction builds, k^(width+1)
 # entries.  Exact entries are Python integers; float ones are float64, and
 # 2^24 of them are 128 MB, past which numpy would fail with a memory error
@@ -266,44 +263,52 @@ def _capped_plan(g: Graph, k: int, exact: bool) -> _Plan:
     return plan
 
 
-def _contract(groups, n, exact, g, colour):
-    """The (n,) density of g in one colour of a pack, one _t_batch call per
-    part-count group, returned read-only.  An exact group contracts integers
-    and divides each kernel's entry by its D^e E^v once, v counting the
-    vertices the plan eliminates (isolated ones contribute 1)."""
-    out = np.empty(n, dtype=object if exact else np.float64)
-    for idxs, mu, colours, den in groups:
+def _contract(groups, n, exact, g, signed):
+    """The densities of g in a pack, one _t_batch call per part-count group,
+    returned read-only: a (2, n) array whose rows are t_g(w) and t_g(1 - w),
+    or with signed a (1, n) array of t_g(2w - 1).  An exact group contracts
+    integers and divides each entry by its kernel's D^e E^v once, v counting
+    the vertices the plan eliminates (isolated ones contribute 1); w and
+    1 - w share D and E, so one divisor a kernel serves both rows."""
+    rows = 1 if signed else 2
+    out = np.empty(rows * n, dtype=object if exact else np.float64)
+    for batches, den in groups:
+        V, mu, pos = batches[signed]
         steps = _capped_plan(g, mu.shape[1], exact).steps
-        t = _t_batch(g, colours[colour], mu)
+        t = _t_batch(g, V, mu)
         if exact:
-            D, E = den
-            t = [Fraction(x, d ** g.e * e ** len(steps)) for x, d, e in zip(t, D, E)]
-        out[idxs] = t
+            scales = [d ** g.e * e ** len(steps) for d, e in zip(*den)]
+            t = [Fraction(x, s) for x, s in zip(t, scales * rows)]
+        out[pos] = t
     out.flags.writeable = False
-    return out
+    return out.reshape(rows, n)
 
 
 class _Pack:
     """Kernels grouped by part count and packed once, with their density table.
 
-    groups is a tuple of (idxs, mu, colours, den) per part count: idxs (B,)
-    the group's positions in the suite, mu (B, k) the weights and colours a
-    dict from each of COLOURS to the (B, k, k) kernels w, 1 - w and 2w - 1,
-    all read-only transposed views of contiguous batch-last arrays, so
-    _t_batch reads them without a copy.  Float packs hold float64 and den
-    None.  Exact packs put each kernel over its own common denominators
-    (integer_kernel): the colours are P, D - P and 2P - D, the weights q,
-    and den the (B,) object arrays (D, E).  density(g, colour) is the table:
-    an LRU cache of read-only (n,) arrays, each contracted once per group.
-    A suite-sweep round asks for about 217 distinct entries and reads each
-    catalog entry again one round later, after all the others; 512 entries
-    keep those reads hits, at most 512 x 8 KB = 4 MB on a 1000-kernel float
-    suite.  The packs of one kernel hold the 33 entries of an inequality
-    battery, two numbers or one each.
+    groups is a tuple of (batches, den) per part count of B kernels.
+    batches holds two (V, mu, pos) batches: the pair batch of the 2B
+    kernels w and then 1 - w, weights repeated, and the signed batch of the
+    B kernels 2w - 1.  V (batch, k, k) and mu (batch, k) are read-only
+    transposed views of contiguous batch-last arrays, so _t_batch reads
+    them without a copy, and pos places the batch in a flat table entry:
+    the group's positions in the pack, plus n for 1 - w.  Float packs hold
+    float64 and den None.  Exact packs put each kernel over its own common
+    denominators (integer_kernel): the batches hold P, D - P and 2P - D,
+    the weights q, and den the (B,) tuples (D, E) of Python ints.
+    density(g, signed) is the table: an LRU cache of _contract's read-only
+    arrays, batches[signed] contracted once per group.  A suite-sweep round
+    asks for about 146 distinct entries and reads each catalog entry again
+    one round later, after all the others; 512 entries keep those reads
+    hits, at most 512 x 16 KB = 8 MB on a 1000-kernel float suite.  The
+    pack of one kernel holds the 30 pair entries of an inequality battery,
+    or the 3 of its signed kernel.
     The cache closes over the groups, not over the pack, so dropping the
     pack frees its densities at once."""
 
     def __init__(self, kernels: tuple, exact: bool = False):
+        n = len(kernels)
         by_k = {}
         for i, w in enumerate(kernels):
             by_k.setdefault(w.k, []).append(i)
@@ -314,8 +319,7 @@ class _Pack:
             group = [kernels[i] for i in members]
             if exact:
                 P, q, D, E = zip(*(integer_kernel(w.values, w.weights) for w in group))
-                V, mu, one = np.array(P), np.array(q), np.array(D, dtype=object)
-                den = (one, np.array(E, dtype=object))
+                V, mu, one, den = np.array(P), np.array(q), np.array(D, dtype=object), (D, E)
             else:
                 V = np.fromiter(flat(flat(w.values for w in group)), np.float64, B * k * k)
                 mu = np.fromiter(flat(w.weights for w in group), np.float64, B * k)
@@ -323,15 +327,14 @@ class _Pack:
             V = np.ascontiguousarray(V.reshape(B, k, k).transpose(1, 2, 0))
             mu = np.ascontiguousarray(mu.reshape(B, k).T)
             idxs = np.array(members)
-            colours = (V, one - V, 2 * V - one)
-            for a in (idxs, mu) + colours:
+            batches = ((np.concatenate((V, one - V), 2), np.concatenate((mu, mu), 1),
+                        np.concatenate((idxs, idxs + n))), (2 * V - one, mu, idxs))
+            for a in batches[0] + batches[1]:
                 a.flags.writeable = False
-            views = {c: a.transpose(2, 0, 1) for c, a in zip(COLOURS, colours)}
-            groups.append((idxs, mu.T, views, den))
+            groups.append((tuple((a.transpose(2, 0, 1), b.T, p) for a, b, p in batches), den))
         self.groups = groups = tuple(groups)
-        n = len(kernels)
         self.density = lru_cache(maxsize=512)(
-            lambda g, colour: _contract(groups, n, exact, g, colour))
+            lambda g, signed: _contract(groups, n, exact, g, signed))
 
 
 class _Suite(tuple):
@@ -356,19 +359,20 @@ def _packed(kernels: _Suite) -> _Pack:
     even away from its ends, makes a key equal to no earlier one and no
     stale pack is read, and a new list of equal kernels reads the same
     pack.  Four entries hold the suites a sweep or a certificate check
-    reuses, and bound the density tables kept alive with them: 16 MB for
+    reuses, and bound the density tables kept alive with them: 32 MB for
     four 1000-kernel suites."""
     return _Pack(kernels)
 
 
 @lru_cache(maxsize=8)
 def _kernel(w: StepGraphon, exact: bool) -> _Pack:
-    """The pack of one kernel: a [0, 1] kernel as the suite (w, 1 - w), so
-    t_hom, t_complement and m read one contraction of a batch of two, and
-    a signed kernel as (w,).  exact is part of the key because Fraction(1,
-    2) and 0.5 compare and hash equal.  Eight entries hold the two packs an
-    inequality battery reads, w and its signed kernel, for four kernels."""
-    return _Pack((w,) if isinstance(w, SignedStepGraphon) else (w, w.one_minus()), exact)
+    """The pack of one kernel, a pack of one like a suite's: t_hom,
+    t_complement and m read its pair entry, one contraction of the batch
+    (w, 1 - w), and expansion_value its signed entries.  exact is part of
+    the key because Fraction(1, 2) and 0.5 compare and hash equal.  Eight
+    entries hold the two packs an inequality battery reads, w and the
+    signed kernel of its Cauchy-Schwarz check, for four kernels."""
+    return _Pack((w,), exact)
 
 
 def integer_kernel(values, weights):
@@ -385,21 +389,22 @@ def integer_kernel(values, weights):
 
 def t_hom(g: Graph, w: StepGraphon):
     """Homomorphism density t_g(w).  Exact kernels give Fraction results."""
-    return _kernel(w, w.exact).density(g, "w").item(0)
+    return _kernel(w, w.exact).density(g, False).item(0)
 
 
 def t_complement(g: Graph, w: StepGraphon):
     """t_g(1 - w), from the same contraction as t_hom."""
-    return _kernel(w, w.exact).density(g, "w").item(1)
+    return _kernel(w, w.exact).density(g, False).item(1)
 
 
 def t_signed(g: Graph, u: SignedStepGraphon):
-    """Same contraction against a [-1,1]-valued kernel; empty graph gives 1."""
-    return _kernel(u, u.exact).density(g, "w").item(0)
+    """t_hom against a [-1,1]-valued kernel, read from u's own pack; empty
+    graph gives 1."""
+    return _kernel(u, u.exact).density(g, False).item(0)
 
 
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
-    return _packed(_Suite(graphons)).density(g, "w").copy()
+    return _packed(_Suite(graphons)).density(g, False)[0].copy()
 
 
 def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
@@ -408,29 +413,27 @@ def t_signed_many(g: Graph, signed_graphons) -> np.ndarray:
 
 def m(g: Graph, w: StepGraphon):
     """Monochromatic density: t_g(w) + t_g(1 - w)."""
-    t, tbar = _kernel(w, w.exact).density(g, "w").tolist()
+    (t,), (tbar,) = _kernel(w, w.exact).density(g, False).tolist()
     return t + tbar
 
 
 def m_many(g: Graph, graphons) -> np.ndarray:
-    pack = _packed(_Suite(graphons))
-    return pack.density(g, "w") + pack.density(g, "1-w")
+    t, tbar = _packed(_Suite(graphons)).density(g, False)
+    return t + tbar
 
 
 def expansion_value(g: Graph, w: StepGraphon):
     """m(g, w) recomputed through the even-subset expansion of g against the
-    signed kernel 2w - 1, read from its own pack: w's pack would contract
-    1 - 2w beside it, which the expansion does not read.  Equals m(g, w)
-    exactly for exact kernels."""
-    u = w.signed()
+    signed kernel 2w - 1, read from the signed entries of w's own pack.
+    Equals m(g, w) exactly for exact kernels."""
+    table = _kernel(w, w.exact).density
     scale = Fraction(2) ** (1 - g.e)
-    return scale * sum(c * t_signed(f, u) for f, c in even_expansion(g).items())
+    return scale * sum(c * table(f, True).item(0) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:
     pack = _packed(_Suite(graphons))
     total = np.zeros(len(graphons))
     for f, c in even_expansion(g).items():
-        total += float(c) * pack.density(f, "2w-1")
+        total += float(c) * pack.density(f, True)[0]
     return float(Fraction(2) ** (1 - g.e)) * total
-

@@ -177,21 +177,6 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def triangles(g: Graph):
-    """All triangles as sorted triples (u, v, w), u < v < w."""
-    out = []
-    for u, v in g.sorted_edges():
-        common = g.adj[u] & g.adj[v]
-        w = v + 1
-        rest = common >> w
-        while rest:
-            if rest & 1:
-                out.append((u, v, w))
-            rest >>= 1
-            w += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 

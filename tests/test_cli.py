@@ -281,8 +281,9 @@ def test_bad_numbers_exit_two_under_optimize():
 
 def test_internal_failure_is_not_bad_input(monkeypatch):
     # an internal invariant failure must surface as a traceback, not exit 2;
-    # the package's own invariants raise RuntimeError, which survives -O
-    for error in (AssertionError, RuntimeError):
+    # the package's own invariants raise RuntimeError, which survives -O, and
+    # a KeyError from inside the program is no unknown catalog name either
+    for error in (AssertionError, RuntimeError, KeyError):
         def broken(h):
             raise error("internal invariant")
 

@@ -22,7 +22,6 @@ from commonality import density
 from commonality.inequalities import standard_battery
 from commonality.search import gradient_m
 from commonality.density import (
-    COLOURS,
     _Suite,
     _packed,
     _t_batch,
@@ -176,15 +175,24 @@ def test_suite_pack_is_cached_and_read_without_copies():
     # rebuilt, but its kernels are equal, so it hits too
     assert _packed.cache_info().hits == hits + 4
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    for idxs, mu, colours, den in _packed(_Suite(suite)).groups:
-        # a suite packs float kernels, the corners included
-        assert den is None and all(a.dtype == np.float64 for a in colours.values())
-        assert sorted(colours) == sorted(COLOURS)
-        arrays = (idxs, mu) + tuple(colours.values())
+    n = len(suite)
+    for ((pair, pair_mu, pair_pos), (signed, mu, idxs)), den in _packed(_Suite(suite)).groups:
+        # a suite packs float kernels, the corners included, as the pair
+        # batch (w, 1 - w) of twice the group and the signed batch 2w - 1;
+        # the pair's rows land in the first and the second row of an entry
+        B = len(idxs)
+        assert den is None and pair.dtype == signed.dtype == np.float64
+        assert len(pair) == len(pair_mu) == 2 * B and len(signed) == len(mu) == B
+        assert np.array_equal(pair_pos, np.concatenate((idxs, idxs + n)))
+        assert np.array_equal(pair_mu, np.concatenate((mu, mu)))
+        assert np.array_equal(pair[B:], 1.0 - pair[:B])
+        assert np.array_equal(signed, 2.0 * pair[:B] - 1.0)
+        assert all(np.array_equal(pair[j], suite[i].values) for j, i in enumerate(idxs))
+        arrays = (idxs, pair_pos, pair, pair_mu, signed, mu)
         assert not any(a.flags.writeable for a in arrays)
         # each view _t_batch turns back into batch-last is contiguous
-        for a in arrays[1:]:
-            assert len(a) == len(idxs) and np.moveaxis(a, 0, -1).flags.c_contiguous
+        for a in arrays[2:]:
+            assert np.moveaxis(a, 0, -1).flags.c_contiguous
 
 
 def _shuffled_suite(seed):
@@ -210,15 +218,19 @@ def test_density_table_cold_and_warm_match_per_group_contractions():
     suite = _shuffled_suite(31)
     for name in ("k3", "c5", "k4", "jst", "k3plus"):
         g = catalog(name)
-        ref = {c: _per_group(g, suite, c) for c in COLOURS}
+        ref = {c: _per_group(g, suite, c) for c in ("w", "1-w", "2w-1")}
         _packed.cache_clear()
         pack = _packed(_Suite(suite))
-        cold = {c: pack.density(g, c) for c in COLOURS}
-        assert pack.density.cache_info().misses == len(COLOURS)
-        warm = {c: pack.density(g, c) for c in COLOURS}
-        assert pack.density.cache_info().hits == len(COLOURS)
-        for c in COLOURS:
-            assert np.array_equal(cold[c], ref[c]) and warm[c] is cold[c], (name, c)
+        cold = {signed: pack.density(g, signed) for signed in (False, True)}
+        assert pack.density.cache_info().misses == 2
+        warm = {signed: pack.density(g, signed) for signed in (False, True)}
+        assert pack.density.cache_info().hits == 2
+        # the pair entry's rows are w and 1 - w, the signed entry's 2w - 1
+        assert cold[False].shape == (2, len(suite)) and cold[True].shape == (1, len(suite))
+        rows = {"w": cold[False][0], "1-w": cold[False][1], "2w-1": cold[True][0]}
+        for c, row in rows.items():
+            assert np.array_equal(row, ref[c]), (name, c)
+        assert all(warm[signed] is cold[signed] for signed in (False, True)), name
         assert np.array_equal(t_hom_many(g, suite), ref["w"])
         assert np.array_equal(m_many(g, suite), ref["w"] + ref["1-w"])
         total = np.zeros(len(suite))
@@ -249,18 +261,19 @@ def test_expansion_reads_shared_subgraph_classes_from_the_table(monkeypatch):
     expansion_value_many(second, suite)
     fresh = set(even_expansion(second)) - shared
     assert Counter(contracted) == {f: groups for f in fresh}
-    # m_many after t_hom_many contracts only the complement
+    # m_many after t_hom_many contracts nothing: the complement is the
+    # second row of the same entry
     t_hom_many(second, suite)
     del contracted[:]
     m_many(second, suite)
-    assert len(contracted) == groups
+    assert contracted == []
 
 
 def test_a_sweep_round_keeps_the_catalog_in_the_table(monkeypatch):
     # a suite-sweep round: the catalog's expansions and m, then fresh
     # triangle trees read once.  The table must still hold every catalog
     # entry when the next round reads it: a table smaller than the round's
-    # ~217 entries evicts each before its reuse and recontracts it.
+    # ~146 entries evicts each before its reuse and recontracts it.
     suite = random_suite(1000, seed=21)
     graphs = [g for _, g in catalog_all() if g.e <= 12]
     rng = random.Random(21)
@@ -302,7 +315,7 @@ def test_writing_a_returned_array_leaves_the_table_alone():
                 t_signed_many(g, suite)):
         out[:] = -7.0
     assert np.array_equal(t_hom_many(g, suite), before)
-    entry = _packed(_Suite(suite)).density(g, "w")
+    entry = _packed(_Suite(suite)).density(g, False)
     assert not entry.flags.writeable
     with pytest.raises(ValueError):
         entry[0] = 0.0
@@ -312,7 +325,7 @@ def test_evicting_a_pack_frees_its_densities():
     suite = _shuffled_suite(34)
     m_many(catalog("k3"), suite)
     pack = _packed(_Suite(suite))
-    refs = [weakref.ref(pack), weakref.ref(pack.density(catalog("k3"), "w"))]
+    refs = [weakref.ref(pack), weakref.ref(pack.density(catalog("k3"), False))]
     del pack
     _packed.cache_clear()
     gc.collect()
@@ -387,36 +400,43 @@ def test_a_suite_key_compares_every_kernel():
 
 
 def test_one_kernel_is_the_pack_of_w_and_its_complement():
-    # an exact kernel packs over its own common denominators: the colours
-    # are P, D - P and 2P - D in Python integers, one row per kernel of the
-    # suite (w, 1 - w), and each density divides by that kernel's D^e E^v
+    # an exact kernel is a pack of one over its own common denominators:
+    # the pair batch holds P and D - P, the signed batch 2P - D, all in
+    # Python integers, and each density divides by the kernel's D^e E^v,
+    # which 1 - w shares
     wbar = RATIONAL_W.one_minus()
-    (idxs, mu, colours, (D, E)), = density._kernel(RATIONAL_W, True).groups
-    ints = [integer_kernel(x.values, x.weights) for x in (RATIONAL_W, wbar)]
-    assert list(idxs) == [0, 1] and list(D) == [ints[0][2], ints[1][2]]
-    assert list(E) == [ints[0][3], ints[1][3]]
-    for i, (P, q, _, _) in enumerate(ints):
-        assert np.array_equal(colours["w"][i], P) and np.array_equal(mu[i], q)
-        assert np.array_equal(colours["1-w"][i], D[i] - P)
-        assert np.array_equal(colours["2w-1"][i], 2 * P - D[i])
-    assert all(type(x) is int for a in colours.values() for x in a.ravel())
+    pack = density._kernel(RATIONAL_W, True)
+    (((pair, pair_mu, pos), (signed_V, mu, idxs)), (D, E)), = pack.groups
+    P, q, d, e = integer_kernel(RATIONAL_W.values, RATIONAL_W.weights)
+    assert list(idxs) == [0] and list(pos) == [0, 1] and list(D) == [d] and list(E) == [e]
+    assert integer_kernel(wbar.values, wbar.weights)[2:] == (d, e)
+    assert np.array_equal(pair[0], P) and np.array_equal(pair[1], d - P)
+    assert np.array_equal(signed_V[0], 2 * P - d)
+    assert np.array_equal(mu[0], q) and np.array_equal(pair_mu, [q, q])
+    assert all(type(x) is int for a in (pair, pair_mu, signed_V, mu) for x in a.ravel())
     signed = RATIONAL_W.signed()
     for name in ("k3", "c4", "k3plus"):
         g = catalog(name)
         want = [enumerated_density(g, x.values, x.weights) for x in (RATIONAL_W, wbar, signed)]
         assert [t_hom(g, RATIONAL_W), t_complement(g, RATIONAL_W), t_signed(g, signed)] == want
         assert m(g, RATIONAL_W) == want[0] + want[1]
-        assert density._kernel(RATIONAL_W, True).density(g, "2w-1")[0] == want[2]
-    # a float kernel is the same suite of two in float64
+        assert pack.density(g, False).tolist() == [[want[0]], [want[1]]]
+        assert pack.density(g, True).tolist() == [[want[2]]]
+        # the integer contraction over D^e E^v, with v the eliminated vertices
+        scale = d ** g.e * e ** len(density._plan(g).steps)
+        assert want[0] * scale == density._t_batch(g, pair, pair_mu)[0]
+    # a float kernel is the same pack of one in float64
     wf = random_suite(1, seed=40, ks=(3,))[0]
-    (_, _, colours, den), = density._kernel(wf, False).groups
-    assert den is None and len(colours["w"]) == 2
-    assert np.array_equal(colours["w"][1], np.array(wf.one_minus().values))
+    (((pair, _, _), (signed_V, _, _)), den), = density._kernel(wf, False).groups
+    assert den is None and len(pair) == 2 and len(signed_V) == 1
+    assert np.array_equal(pair[1], np.array(wf.one_minus().values))
+    assert np.array_equal(signed_V[0], np.array(wf.signed().values))
 
 
 def test_battery_contracts_each_request_once(monkeypatch):
     # a battery's density requests on one kernel are 30 contractions of the
-    # batch (w, 1 - w) and 3 of the signed kernel 2w - 1
+    # batch (w, 1 - w) and 3 of the signed kernel u = 2w - 1, read as
+    # t_signed from the batch (u, 1 - u) of u's own pack
     sizes = []
 
     def counting(g, V, mu):
@@ -428,12 +448,12 @@ def test_battery_contracts_each_request_once(monkeypatch):
         density._kernel.cache_clear()
         del sizes[:]
         standard_battery(w)
-        assert (len(sizes), sum(sizes)) == (33, 63), w.exact
+        assert (len(sizes), sum(sizes)) == (33, 66), w.exact
 
 
 def test_expansion_value_contracts_the_signed_kernel_alone(monkeypatch):
     # the expansion reads t_F(2w - 1) only, so each subgraph class is one
-    # contraction of a batch of one, not of the pair (2w - 1, 1 - 2w)
+    # contraction of the signed batch of w's pack, a batch of one
     sizes = []
 
     def counting(g, V, mu):
@@ -448,6 +468,44 @@ def test_expansion_value_contracts_the_signed_kernel_alone(monkeypatch):
         expansion_value(g, w)
         assert sizes and set(sizes) == {1}, w.exact
         assert len(sizes) == len(even_expansion(g)), w.exact
+
+
+def test_a_fresh_graph_is_one_contraction_per_group(monkeypatch):
+    # t_hom_many then m_many on a fresh graph contract each part-count
+    # group once: w and 1 - w are one batch
+    suite = _shuffled_suite(35)
+    h = random_triangle_tree(random.Random(35), 7)
+    _packed.cache_clear()
+    contracted = []
+
+    def counting(g, V, mu):
+        contracted.append((g, len(V)))
+        return _t_batch(g, V, mu)
+
+    monkeypatch.setattr(density, "_t_batch", counting)
+    t_hom_many(h, suite)
+    m_many(h, suite)
+    groups = Counter(w.k for w in suite).values()
+    assert all(g is h for g, _ in contracted)
+    assert sorted(B for _, B in contracted) == sorted(2 * B for B in groups)
+
+
+def test_single_kernel_reads_build_no_kernel(monkeypatch):
+    # m, t_complement and expansion_value read w's own pack: neither 1 - w
+    # nor 2w - 1 is built as a kernel object
+    def refuse(self):
+        raise AssertionError("a derived kernel was built")
+
+    kernels = (random_suite(1, seed=36, ks=(3,))[0], RATIONAL_W)
+    want = {w: [(m(g, w), t_complement(g, w), expansion_value(g, w))
+                for g in (catalog("k3"), catalog("k3plus"))] for w in kernels}
+    monkeypatch.setattr(StepGraphon, "one_minus", refuse)
+    monkeypatch.setattr(StepGraphon, "signed", refuse)
+    for w in kernels:
+        density._kernel.cache_clear()
+        got = [(m(g, w), t_complement(g, w), expansion_value(g, w))
+               for g in (catalog("k3"), catalog("k3plus"))]
+        assert got == want[w], w.exact
 
 
 def test_numpy_integer_fractions_stay_exact():

@@ -27,7 +27,6 @@ from commonality.graphs import (
     parse_graph,
     pendant_attach,
     relabel,
-    triangles,
 )
 from oracles import canonical_brute, graph_classes_brute
 from strategies import EXACT, small_graphs
@@ -116,14 +115,6 @@ def test_predicates():
     assert is_bipartite(catalog("c6"))
     assert not is_bipartite(catalog("c5"))
     assert is_bipartite(catalog("k2,3"))
-
-
-def test_triangles():
-    assert triangles(catalog("k3")) == [(0, 1, 2)]
-    assert len(triangles(catalog("jst"))) == 3
-    assert len(triangles(catalog("k4"))) == 4
-    assert len(triangles(catalog("k5"))) == 10
-    assert triangles(catalog("c5")) == []
 
 
 def test_complement_involution():

@@ -15,9 +15,11 @@ suite-sweep suite at seed 1):
 - plans_per_fresh_graph: the plans compiled (density._plan misses) when
   t_hom_many reads one fresh triangle tree over the 1000 kernels, which
   have three part counts;
-- table_hit_us: reading one density the pack's table already holds;
+- table_hit_us: reading one entry the pack's table already holds, the
+  densities of k3 in w and 1 - w;
 - t_batch_us: density._t_batch on three graphs at batch sizes 1, 32 and
-  1000, with 3-part kernels in the batch-last layout the pack holds;
+  1000, on the signed batch of a pack of 3-part kernels, B kernels in the
+  batch-last layout the pack holds;
 - catalog_sweep: expansion_value_many then m_many on every catalog graph
   with at most 12 edges, starting from an empty density table: the table
   requests, the contractions they cost and the milliseconds (a median).
@@ -85,15 +87,15 @@ def layer_times(repeat=15, number=20):
                                       repeat)
     times.update(plan_times(suite, repeat))
     k3 = graphs.catalog("k3")
-    pack.density(k3, "w")
-    times["table_hit_us"] = _median_us(lambda: pack.density(k3, "w"), number, repeat)
-    # (mu, colours) of one 3-part group per batch size
+    pack.density(k3, False)
+    times["table_hit_us"] = _median_us(lambda: pack.density(k3, False), number, repeat)
+    # the signed batch (V, mu, pos) of one 3-part group of B kernels, per batch size
     batches = {B: density._packed(density._Suite(graphons.random_suite(B, 2, ks=(3,))))
-               .groups[0][1:3] for B in BATCH_SIZES}
+               .groups[0][0][True] for B in BATCH_SIZES}
     times["t_batch_us"] = {
-        name: {str(B): _median_us(lambda g=graphs.catalog(name), V=colours["w"], mu=mu:
+        name: {str(B): _median_us(lambda g=graphs.catalog(name), V=V, mu=mu:
                                   density._t_batch(g, V, mu), number, repeat)
-               for B, (mu, colours) in batches.items()}
+               for B, (V, mu, _) in batches.items()}
         for name in GRAPHS}
     times["catalog_sweep"] = catalog_sweep(suite, repeat)
     times["battery_ms"] = battery_ms(repeat)
