@@ -6,8 +6,17 @@ and everything is vectorized over a batch of kernels with the same part
 count.  Each graph is compiled once, for every part count, into a cached
 plan of elimination steps, with the batch as the last axis of every array: a
 contraction reads its (B, k, k) batch as a contiguous (k, k, B) array, so
-every broadcast product and every sum runs its innermost loop over the B
-kernels rather than over a vertex axis of length k.  Every density is a
+every product and every sum runs its innermost loop over the B kernels
+rather than over a vertex axis of length k.  Each step is compiled into
+factors: the inputs that hold only the eliminated vertex scale the
+weights, the inputs that hold the same variables are multiplied at their
+own size, the weights go into the smallest factor, and two factors are
+contracted by one two-operand np.einsum, so a step of a triangle tree
+never builds the k^3 B product of all its inputs.  One factor is summed;
+three or more, which only a step of width 3 or more has, are multiplied
+by broadcasting as one product and summed.  A batch of one kernel and a
+batch of 1000 take the same route, in float64 and on exact object
+arrays alike.  Every density is a
 read of one density table on a pack.  A pack holds each part-count group
 of its kernels already in that layout, as two batches: w and 1 - w side
 by side, and 2w - 1.  Its table contracts each batch once per graph and
@@ -31,9 +40,9 @@ pack: _packed's four entries bound its memory at 32 MB, and evicting a
 pack frees its densities.  Reusing one suite list across the *_many
 calls packs it once, and no kernel objects are built.
 A single kernel is a pack of one like any other, so t_hom, t_complement
-and m read one contraction of its pair batch, and expansion_value one
-contraction of its signed batch per subgraph class; no 1 - w or 2w - 1
-kernel is built.  Float kernels contract in float64.  Exact kernels
+and m read one contraction of its pair batch, and expansion_value and
+t_signed_kernel one contraction of its signed batch per graph; no 1 - w
+or 2w - 1 kernel is built.  Float kernels contract in float64.  Exact kernels
 contract in Python integers over each kernel's common denominators,
 values p/D and weights q/E, and divide once at the end, so a density
 costs k^(width+1) integer operations per eliminated vertex and one gcd.
@@ -59,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, even_expansion
+from .graphs import MAX_VERTICES, Graph, even_expansion
 from .graphons import SignedStepGraphon, StepGraphon
 
 
@@ -95,6 +104,12 @@ class _Plan(NamedTuple):
     width: int
 
 
+# the einsum letter of each vertex, z for the batch, and the bit of each
+# variable of a step in the patterns of _plan
+_LETTERS = "abcdefghijklmnopqrstuvwxy"[:MAX_VERTICES]
+_BITS = tuple([1 << a for a in range(MAX_VERTICES)])
+
+
 @lru_cache(maxsize=512)
 def _plan(g: Graph) -> _Plan:
     """Compiled elimination of g, for every part count.
@@ -103,15 +118,28 @@ def _plan(g: Graph) -> _Plan:
     eliminated vertex is one step, which multiplies the slots that hold it,
     sums the vertex out against the weights and either appends the result
     as a new slot or, when no variable is left, multiplies it into the
-    result.  An input is read through an index tuple of slice(None) and None,
-    one per variable of the step in sorted order, so that it broadcasts
-    against the others at any part count.  steps are the batch-last walk
-    of _t_batch, (inputs, weight_idx, axis, scalar) with inputs (slot,
-    index) pairs in slot order and the batch after the vertex axes, so the
-    innermost loop of every broadcast product and every sum runs over the
-    kernels, not over a vertex axis of length k.  grad_steps are the same
-    steps batch first, as _t_batch_grad reads them: (inputs, weight_idx,
-    axis, scalar, weight_axes), with inputs (slot, index, reduced), where
+    result.  Every array holds its variables' axes in sorted order.
+
+    steps are the batch-last walk of _t_batch, each step compiled into
+    factors: (alone, factors, weight_idx, contract, scalar).  alone are the
+    slots that hold only the eliminated vertex; they are multiplied into
+    the (k, B) weights.  The other slots are grouped by the variables they
+    hold, and each group is one factor, (slots, idx), multiplied at its own
+    size k^|vars| B.  Factors are ordered smallest first, and the weights
+    go into the first one through weight_idx, in that factor's own axes.
+    contract is einsum subscripts when there are two factors, which one
+    two-operand np.einsum contracts; otherwise it is the eliminated
+    vertex's axis, summed out of the broadcast product of the factors, each
+    read through idx, an index tuple of slice(None) and None over the
+    step's sorted variables.  One factor is summed as it is; three or more
+    occur only at width 3 and up.  A scalar step has no factor: its
+    weights are summed to one number a kernel.  The batch is the last axis
+    throughout, so the innermost loop of every product and every sum runs
+    over the kernels, not over a vertex axis of length k.
+
+    grad_steps are the same steps batch first and unfactored, as
+    _t_batch_grad reads them: (inputs, weight_idx, axis, scalar,
+    weight_axes), with inputs (slot, index, reduced) in slot order, where
     reduced are the axes an input's gradient is summed over and
     weight_axes those the weights' gradient is; inputs that hold the same
     variables of their step share these tuples.  width is
@@ -127,35 +155,62 @@ def _plan(g: Graph) -> _Plan:
         holders[b].add(i)
     patterns = {}
 
-    def reads(held):
-        # the index tuples and summed axes of one pattern of held variables
-        # (one bool per variable of a step), built once per plan
-        if held not in patterns:
-            axes = tuple([slice(None) if h else None for h in held])
-            patterns[held] = (axes + (...,), (...,) + axes,
-                              tuple([a for a, h in enumerate(held, 1) if not h]))
-        return patterns[held]
+    def reads(key):
+        # the index tuples and summed axes of one pattern of held variables,
+        # an int with bit a set when the a-th variable is held and a top bit
+        # above the variables; built once per plan
+        held = [key >> a & 1 for a in range(key.bit_length() - 1)]
+        axes = tuple([slice(None) if h else None for h in held])
+        patterns[key] = read = (axes + (...,), (...,) + axes,
+                                tuple([a for a, h in enumerate(held, 1) if not h]))
+        return read
 
     steps, grad_steps = [], []
     for v in order:
         involved = sorted(holders[v])
         union = sorted(set().union(*[slot_vars[i] for i in involved]))
-        last, first = [], []
+        top = 1 << len(union)
+        bit = dict(zip(union, _BITS))
+        first, groups = [], {}
         for i in involved:
-            held = slot_vars[i]
-            last_idx, first_idx, reduced = reads(tuple([t in held for t in union]))
-            last.append((i, last_idx))
-            first.append((i, first_idx, reduced))
-            for t in held:
+            key = top
+            for t in slot_vars[i]:
+                key |= bit[t]
                 holders[t].discard(i)
+            _, first_idx, reduced = patterns.get(key) or reads(key)
+            first.append((i, first_idx, reduced))
+            if key in groups:
+                groups[key].append(i)
+            else:
+                groups[key] = [i]
         axis = union.index(v)
-        weight_last, weight_first, weight_axes = reads(tuple([t == v for t in union]))
+        alone_key = top | bit[v]
+        _, weight_first, weight_axes = patterns.get(alone_key) or reads(alone_key)
         rest = tuple([t for t in union if t != v])
         if rest:
             for t in rest:
                 holders[t].add(len(slot_vars))
             slot_vars.append(rest)
-        steps.append((tuple(last), weight_last, axis, not rest))
+        alone = tuple(groups.pop(alone_key, ()))
+        keys = list(groups)
+        if len(keys) > 1:
+            # smallest factor first; sort is stable, so ties keep slot order
+            keys.sort(key=int.bit_count)
+        factors = tuple([(tuple(groups[key]), patterns[key][0]) for key in keys])
+        weight_idx = contract = None
+        if keys:
+            held = slot_vars[groups[keys[0]][0]]
+            weight = 1 << len(held) | 1 << held.index(v)
+            weight_idx = (patterns.get(weight) or reads(weight))[0]
+            contract = axis
+            if len(keys) == 2:
+                # each array's axes are its variables in sorted order, so a
+                # vertex's letter names its axis in every operand
+                other = slot_vars[groups[keys[1]][0]]
+                contract = "%sz,%sz->%sz" % ("".join([_LETTERS[t] for t in held]),
+                                             "".join([_LETTERS[t] for t in other]),
+                                             "".join([_LETTERS[t] for t in rest]))
+        steps.append((alone, factors, weight_idx, contract, not rest))
         grad_steps.append((tuple(first), weight_first, axis + 1, not rest, weight_axes))
     return _Plan(tuple(steps), tuple(grad_steps), width)
 
@@ -163,13 +218,17 @@ def _plan(g: Graph) -> _Plan:
 def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Homomorphism density of g in a batch of kernels.
     V is (B, k, k), mu is (B, k); returns (B,) in V's dtype, so object arrays
-    of Fractions contract exactly.  Both are read in the plan's batch-last
-    layout, V as a contiguous (k, k, B) and mu as (k, B): a batch given as
-    the transposed view of such arrays is read without a copy, any other
-    layout is copied into it once.  Each step reads its inputs as slots[i][idx]
-    and its weights as mu[weight_idx], views that broadcast whatever k is.
-    Isolated vertices contribute factor 1 since each weight vector sums to
-    1."""
+    of Fractions or Python integers contract exactly.  Both are read in the
+    plan's batch-last layout, V as a contiguous (k, k, B) and mu as (k, B):
+    a batch given as the transposed view of such arrays is read without a
+    copy, any other layout is copied into it once.  Each step runs its
+    compiled factors (see _plan): the slots over the eliminated vertex alone
+    scale the weights, each factor is the product of its slots at its own
+    size, the weights go into the smallest factor, and two factors are
+    contracted by one np.einsum, so no step builds the k^(width+1) B array
+    of all its inputs unless it has three or more factors.  B = 1 and
+    B = 1000 take the same route.  Isolated vertices contribute factor 1
+    since each weight vector sums to 1."""
     B = mu.shape[0]
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
@@ -177,21 +236,34 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     V = np.ascontiguousarray(V.transpose(1, 2, 0))
     mu = np.ascontiguousarray(mu.T)
     slots = [V] * g.e
-    for inputs, weight_idx, axis, scalar in _plan(g).steps:
-        (i, idx), *more = inputs
-        joint = slots[i][idx]
-        slots[i] = None
-        for i, idx in more:
-            joint = joint * slots[i][idx]
+    for alone, factors, weight_idx, contract, scalar in _plan(g).steps:
+        weights = mu
+        for i in alone:
+            weights = weights * slots[i]
             slots[i] = None
-        # a product of two or more inputs is a fresh array and takes the
-        # weights in place; a lone input is a view of V or of a slot
-        joint = np.multiply(joint, mu[weight_idx], out=joint if more else None)
-        joint = joint.sum(axis=axis)
         if scalar:
-            acc = acc * joint
+            acc = acc * weights.sum(axis=0)
+            continue
+        xs = []
+        for held, _ in factors:
+            x = None
+            for i in held:
+                x = slots[i] if x is None else x * slots[i]
+                slots[i] = None
+            xs.append(x)
+        # a product of two or more slots is a fresh array and takes the
+        # weights in place; a lone slot may be a view of V
+        if len(factors[0][0]) > 1:
+            xs[0] *= weights[weight_idx]
         else:
-            slots.append(joint)
+            xs[0] = xs[0] * weights[weight_idx]
+        if isinstance(contract, str):
+            slots.append(np.einsum(contract, *xs))
+        elif len(xs) == 1:
+            slots.append(xs[0].sum(axis=contract))
+        else:
+            slots.append(reduce(np.multiply, [x[idx] for x, (_, idx) in zip(xs, factors)])
+                         .sum(axis=contract))
     return acc
 
 
@@ -302,8 +374,8 @@ class _Pack:
     asks for about 146 distinct entries and reads each catalog entry again
     one round later, after all the others; 512 entries keep those reads
     hits, at most 512 x 16 KB = 8 MB on a 1000-kernel float suite.  The
-    pack of one kernel holds the 30 pair entries of an inequality battery,
-    or the 3 of its signed kernel.
+    pack of one kernel holds the 30 pair entries and the 3 signed entries
+    of an inequality battery.
     The cache closes over the groups, not over the pack, so dropping the
     pack frees its densities at once."""
 
@@ -368,10 +440,10 @@ def _packed(kernels: _Suite) -> _Pack:
 def _kernel(w: StepGraphon, exact: bool) -> _Pack:
     """The pack of one kernel, a pack of one like a suite's: t_hom,
     t_complement and m read its pair entry, one contraction of the batch
-    (w, 1 - w), and expansion_value its signed entries.  exact is part of
-    the key because Fraction(1, 2) and 0.5 compare and hash equal.  Eight
-    entries hold the two packs an inequality battery reads, w and the
-    signed kernel of its Cauchy-Schwarz check, for four kernels."""
+    (w, 1 - w), and expansion_value and t_signed_kernel its signed
+    entries.  exact is part of the key because Fraction(1, 2) and 0.5
+    compare and hash equal.  Eight entries hold the packs of the last eight
+    kernels read; an inequality battery reads only w's."""
     return _Pack((w,), exact)
 
 
@@ -403,6 +475,12 @@ def t_signed(g: Graph, u: SignedStepGraphon):
     return _kernel(u, u.exact).density(g, False).item(0)
 
 
+def t_signed_kernel(g: Graph, w: StepGraphon):
+    """t_g(2w - 1), read from the signed entry of w's own pack: no 2w - 1
+    kernel is built."""
+    return _kernel(w, w.exact).density(g, True).item(0)
+
+
 def t_hom_many(g: Graph, graphons) -> np.ndarray:
     return _packed(_Suite(graphons)).density(g, False)[0].copy()
 
@@ -426,9 +504,8 @@ def expansion_value(g: Graph, w: StepGraphon):
     """m(g, w) recomputed through the even-subset expansion of g against the
     signed kernel 2w - 1, read from the signed entries of w's own pack.
     Equals m(g, w) exactly for exact kernels."""
-    table = _kernel(w, w.exact).density
     scale = Fraction(2) ** (1 - g.e)
-    return scale * sum(c * table(f, True).item(0) for f, c in even_expansion(g).items())
+    return scale * sum(c * t_signed_kernel(f, w) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .decomposition import find_triangle_decomposition
-from .density import m, t_complement, t_hom, t_signed
+from .density import m, t_complement, t_hom, t_signed_kernel
 from .graphs import (
     Graph,
     apex_add,
@@ -23,7 +23,7 @@ from .graphs import (
     connected_bipartite_up_to_5,
     pendant_attach,
 )
-from .graphons import SignedStepGraphon, StepGraphon, _exact_num
+from .graphons import StepGraphon, _exact_num
 
 INEQ_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -184,17 +184,18 @@ def check_diamond_lemma(w: StepGraphon, c, tol=INEQ_TOL) -> InequalityReport:
     return _ge(f"diamond-lemma[c={_fmt(c)}]", lhs, rhs, w, tol)
 
 
-def check_k3plus_cs(u: SignedStepGraphon, tol=INEQ_TOL):
-    """Cauchy-Schwarz on the signed kernel: the tailed-triangle contraction
-    squared is at most the product of the cherry and 4-cycle contractions,
-    both of which are nonnegative."""
-    star = t_signed(catalog("k1,2"), u)
-    c4 = t_signed(catalog("c4"), u)
-    tail = t_signed(catalog("k3plus"), u)
+def check_k3plus_cs(w: StepGraphon, tol=INEQ_TOL):
+    """Cauchy-Schwarz on the signed kernel 2w - 1: the tailed-triangle
+    contraction squared is at most the product of the cherry and 4-cycle
+    contractions, both of which are nonnegative.  The three densities are
+    signed entries of w's own pack, so no 2w - 1 kernel is built."""
+    star = t_signed_kernel(catalog("k1,2"), w)
+    c4 = t_signed_kernel(catalog("c4"), w)
+    tail = t_signed_kernel(catalog("k3plus"), w)
     return [
-        _ge("k3plus-cs:star-nonneg", star, Fraction(0), u, tol),
-        _ge("k3plus-cs:c4-nonneg", c4, Fraction(0), u, tol),
-        _ge("k3plus-cs", star * c4, tail * tail, u, tol),
+        _ge("k3plus-cs:star-nonneg", star, Fraction(0), w, tol),
+        _ge("k3plus-cs:c4-nonneg", c4, Fraction(0), w, tol),
+        _ge("k3plus-cs", star * c4, tail * tail, w, tol),
     ]
 
 
@@ -304,7 +305,7 @@ def standard_battery(w: StepGraphon, tol=INEQ_TOL):
     out += check_addtree_bound(catalog("k1,3"), 0, catalog("k1,1,4"), 0, w, tol)
     out.append(check_diamond_lemma(w, Fraction(1, 7), tol))
     out.append(check_diamond_lemma(w, (3 - math.sqrt(5)) / 4, tol))
-    out += check_k3plus_cs(w.signed(), tol)
+    out += check_k3plus_cs(w, tol)
     for h in connected_bipartite_up_to_5():
         out.append(check_apex_lemma(h, w, tol))
     out += check_apex_chain(catalog("c4"), 2, w, tol)

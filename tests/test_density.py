@@ -435,8 +435,7 @@ def test_one_kernel_is_the_pack_of_w_and_its_complement():
 
 def test_battery_contracts_each_request_once(monkeypatch):
     # a battery's density requests on one kernel are 30 contractions of the
-    # batch (w, 1 - w) and 3 of the signed kernel u = 2w - 1, read as
-    # t_signed from the batch (u, 1 - u) of u's own pack
+    # batch (w, 1 - w) and 3 of the signed batch 2w - 1 of the same pack
     sizes = []
 
     def counting(g, V, mu):
@@ -448,7 +447,7 @@ def test_battery_contracts_each_request_once(monkeypatch):
         density._kernel.cache_clear()
         del sizes[:]
         standard_battery(w)
-        assert (len(sizes), sum(sizes)) == (33, 66), w.exact
+        assert (len(sizes), sum(sizes)) == (33, 63), w.exact
 
 
 def test_expansion_value_contracts_the_signed_kernel_alone(monkeypatch):
@@ -491,21 +490,23 @@ def test_a_fresh_graph_is_one_contraction_per_group(monkeypatch):
 
 
 def test_single_kernel_reads_build_no_kernel(monkeypatch):
-    # m, t_complement and expansion_value read w's own pack: neither 1 - w
-    # nor 2w - 1 is built as a kernel object
+    # m, t_complement, expansion_value and the battery read w's own pack:
+    # neither 1 - w nor 2w - 1 is built as a kernel object
     def refuse(self):
         raise AssertionError("a derived kernel was built")
 
+    def reads(w):
+        return ([(m(g, w), t_complement(g, w), expansion_value(g, w))
+                 for g in (catalog("k3"), catalog("k3plus"))],
+                [r.tsv_row() for r in standard_battery(w)])
+
     kernels = (random_suite(1, seed=36, ks=(3,))[0], RATIONAL_W)
-    want = {w: [(m(g, w), t_complement(g, w), expansion_value(g, w))
-                for g in (catalog("k3"), catalog("k3plus"))] for w in kernels}
+    want = {w: reads(w) for w in kernels}
     monkeypatch.setattr(StepGraphon, "one_minus", refuse)
     monkeypatch.setattr(StepGraphon, "signed", refuse)
     for w in kernels:
         density._kernel.cache_clear()
-        got = [(m(g, w), t_complement(g, w), expansion_value(g, w))
-               for g in (catalog("k3"), catalog("k3plus"))]
-        assert got == want[w], w.exact
+        assert reads(w) == want[w], w.exact
 
 
 def test_numpy_integer_fractions_stay_exact():
@@ -665,3 +666,71 @@ def test_t_batch_layouts_rows_and_single_rows():
                     t = _t_batch(g, Vl, mul)
                     assert list(t) == rows, (k, B, gi)
                     assert all(type(x) is Fraction for x in t) or not g.e
+
+
+def _factored_graphs():
+    # seeded random graphs of elimination widths 1-4, four of each, every
+    # one with isolated vertices at random labels
+    rng = random.Random(26)
+    by_width = {width: [] for width in range(1, 5)}
+    while any(len(gs) < 4 for gs in by_width.values()):
+        active = rng.randint(2, 6)
+        n = active + rng.randint(1, 2)
+        labels = rng.sample(range(n), active)
+        p = rng.random()
+        g = Graph(n, [(labels[a], labels[b]) for a in range(active)
+                      for b in range(a + 1, active) if rng.random() < p])
+        gs = by_width.get(elimination_order(g)[1])
+        if g.e and gs is not None and len(gs) < 4:
+            gs.append(g)
+    return [g for gs in by_width.values() for g in gs]
+
+
+def _route(step):
+    # the route of one factored step: its weights summed to a scalar, one
+    # factor summed, two contracted by einsum, or three or more broadcast
+    alone, factors, _, contract, scalar = step
+    if scalar:
+        return "scalar"
+    assert isinstance(contract, str) == (len(factors) == 2)
+    return {1: "sum", 2: "einsum"}.get(len(factors), "broadcast")
+
+
+def test_factored_steps_match_enumeration():
+    # every route of a factored step, on exact Fraction and integer batches
+    # and on floats, against assignment enumeration
+    rng = random.Random(27)
+    routes = Counter()
+    for g in _factored_graphs():
+        steps = density._plan(g).steps
+        active = sum(1 for v in range(g.n) if g.adj[v])
+        assert len(steps) == active < g.n
+        routes.update(_route(s) for s in steps)
+        # slots over the eliminated vertex alone, in a step with factors
+        routes["alone"] += sum(1 for s in steps if s[0] and not s[4])
+        # a scalar step has no factor: only such slots and the weights
+        assert all(s[0] and not s[1] for s in steps if s[4])
+        for k in (1, 2, 3):
+            pool = [seeded_rational_kernel(k, rng) for _ in range(3)]
+            want = [enumerated_density(g, w.values, w.weights) for w in pool]
+            V = np.array([w.values for w in pool], dtype=object)
+            mu = np.array([w.weights for w in pool], dtype=object)
+            assert list(_t_batch(g, V, mu)) == want, (g, k)
+            P, q, D, E = zip(*(integer_kernel(w.values, w.weights) for w in pool))
+            t = _t_batch(g, np.array(P), np.array(q))
+            assert [Fraction(x, d ** g.e * e ** active)
+                    for x, d, e in zip(t, D, E)] == want, (g, k)
+            t = _t_batch(g, V.astype(np.float64), mu.astype(np.float64))
+            assert t.dtype == np.float64
+            assert np.max(np.abs(t - np.array(want, dtype=np.float64))) <= 1e-12, (g, k)
+    assert {"scalar", "sum", "einsum", "broadcast", "alone"} <= set(routes), routes
+
+
+def test_triangle_tree_steps_contract_at_most_two_factors():
+    # a width-2 triangle tree never builds the product of all of a step's
+    # inputs: every step has at most two factors, and two are one einsum
+    tree = random_triangle_tree(random.Random(26), 12)
+    plan = density._plan(tree)
+    assert plan.width == 2
+    routes = Counter(_route(s) for s in plan.steps)
+    assert "broadcast" not in routes and routes["einsum"] > 0, routes

@@ -127,9 +127,10 @@ def test_diamond_lemma():
 
 def test_k3plus_cs():
     for w in SMALL_SUITE:
-        reports = check_k3plus_cs(w.signed())
+        reports = check_k3plus_cs(w)
         assert all(r.holds for r in reports)
-    reports = check_k3plus_cs(half().signed())
+        assert all(r.witness is w for r in reports)
+    reports = check_k3plus_cs(half())
     assert all(r.holds for r in reports)
     assert all(r.slack == 0 for r in reports)
 

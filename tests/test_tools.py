@@ -35,6 +35,12 @@ def test_layer_times_runs():
     assert routes["pattern_vectors"] > 0
     assert sorted(times["ramsey_ms"], key=int) == [str(n) for n in mod.RAMSEY_POINTS]
     assert all(ms > 0 for ms in times["ramsey_ms"].values())
+    assert list(times["tree_t_batch_us"]) == ["2", "3", "4"]
+    assert all(t > 0 for t in times["tree_t_batch_us"].values())
+    # a width-2 triangle tree contracts at most two factors a step
+    routes = times["tree_routes"]
+    assert sorted(routes) == ["broadcast", "einsum", "scalar", "sum"]
+    assert routes["broadcast"] == 0 and routes["einsum"] > 0 and routes["scalar"] > 0
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
     for by_size in times["t_batch_us"].values():
         assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]

@@ -20,6 +20,13 @@ suite-sweep suite at seed 1):
 - t_batch_us: density._t_batch on three graphs at batch sizes 1, 32 and
   1000, on the signed batch of a pack of 3-part kernels, B kernels in the
   batch-last layout the pack holds;
+- tree_t_batch_us: density._t_batch on the triangle tree with 12 bags that
+  plan_us compiles, over the pair batch (w and 1 - w) of each part count of
+  the 1000-kernel suite, keyed by the part count k = 2, 3 and 4 (about
+  666 kernels each);
+- tree_routes: the steps of that tree's plan per route: scalar (weights
+  summed to one number a kernel), sum (one factor summed), einsum (two
+  factors contracted by np.einsum) and broadcast (three or more factors);
 - catalog_sweep: expansion_value_many then m_many on every catalog graph
   with at most 12 edges, starting from an empty density table: the table
   requests, the contractions they cost and the milliseconds (a median).
@@ -97,6 +104,7 @@ def layer_times(repeat=15, number=20):
                                   density._t_batch(g, V, mu), number, repeat)
                for B, (V, mu, _) in batches.items()}
         for name in GRAPHS}
+    times.update(tree_times(pack, number, repeat))
     times["catalog_sweep"] = catalog_sweep(suite, repeat)
     times["battery_ms"] = battery_ms(repeat)
     times["certificate_ms"] = certificate_ms(repeat)
@@ -114,6 +122,20 @@ def plan_times(suite, repeat):
     density.t_hom_many(fresh, suite)
     return {"plan_us": round(statistics.median(seconds) * 1e6, 2),
             "plans_per_fresh_graph": density._plan.cache_info().misses - misses}
+
+
+def tree_times(pack, number, repeat):
+    # the tree plan_times compiles, the first drawn from random.Random(2)
+    tree = decomposition.random_triangle_tree(random.Random(2), 12)
+    us = {}
+    for batches, _ in pack.groups:
+        V, mu, _ = batches[False]
+        us[str(mu.shape[1])] = _median_us(lambda: density._t_batch(tree, V, mu), number, repeat)
+    routes = dict.fromkeys(("scalar", "sum", "einsum", "broadcast"), 0)
+    for _, factors, _, _, scalar in density._plan(tree).steps:
+        route = "scalar" if scalar else ("sum", "einsum", "broadcast")[min(len(factors), 3) - 1]
+        routes[route] += 1
+    return {"tree_t_batch_us": dict(sorted(us.items())), "tree_routes": routes}
 
 
 def catalog_sweep(suite, repeat):
