@@ -10,14 +10,13 @@ every product and every sum runs its innermost loop over the B kernels
 rather than over a vertex axis of length k.  Each step is compiled into
 factors: the inputs that hold only the eliminated vertex scale the
 weights, the inputs that hold the same variables are multiplied at their
-own size, the weights go into the smallest factor, and two factors are
-contracted by one two-operand np.einsum, so a step of a triangle tree
-never builds the k^3 B product of all its inputs.  One factor is summed;
-three or more, which only a step of width 3 or more has, are multiplied
-by broadcasting as one product and summed.  A batch of one kernel and a
-batch of 1000 take the same route, in float64 and on exact object
-arrays alike.  Every density is a
-read of one density table on a pack.  A pack holds each part-count group
+own size, and np.einsum contracts the weights and the factors, three
+operands at most to a call, so a step of a triangle tree, which has at
+most two factors, never builds the k^(width+1) B product of all its
+inputs.
+A batch of one kernel and a batch of 1000 take the same route, in
+float64 and on exact object arrays alike.  Every density is a read of
+one density table on a pack.  A pack holds each part-count group
 of its kernels already in that layout, as two batches: w and 1 - w side
 by side, and 2w - 1.  Its table contracts each batch once per graph and
 group, stores the result read-only and reads it after that: one entry
@@ -41,11 +40,12 @@ pack frees its densities.  Reusing one suite list across the *_many
 calls packs it once, and no kernel objects are built.
 A single kernel is a pack of one like any other, so t_hom, t_complement
 and m read one contraction of its pair batch, and expansion_value and
-t_signed_kernel one contraction of its signed batch per graph; no 1 - w
-or 2w - 1 kernel is built.  Float kernels contract in float64.  Exact kernels
-contract in Python integers over each kernel's common denominators,
-values p/D and weights q/E, and divide once at the end, so a density
-costs k^(width+1) integer operations per eliminated vertex and one gcd.
+the battery's k3plus-cs check one contraction of its signed batch per
+graph; no 1 - w or 2w - 1 kernel is built.  Float kernels contract in
+float64.  Exact kernels contract in Python integers over each kernel's
+common denominators, values p/D and weights q/E, and divide once at the
+end, so a density costs at most k^(width+1) integer operations per
+eliminated vertex and one gcd.
 The last eight single-kernel packs are cached, so a battery that asks for
 the same density of one kernel many times contracts it once.  A
 contraction whose widest array would hold more than 2^20 integers or
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -72,28 +73,40 @@ from .graphs import MAX_VERTICES, Graph, even_expansion
 from .graphons import SignedStepGraphon, StepGraphon
 
 
-def elimination_order(g: Graph):
-    """Min-degree-with-fill elimination order over non-isolated vertices.
-    Returns (order, width) where width is the largest neighbourhood summed over.
-    Neighbourhoods are bitmasks, as in g.adj.  Ties on degree go to the
-    lowest vertex: min returns the first of equal keys, and degree keeps its
-    keys in ascending order, since an update leaves a key where it is."""
+def _eliminations(g: Graph):
+    """Min-degree-with-fill elimination over non-isolated vertices: yields
+    each eliminated vertex with its neighbours at that point, ascending.
+    Neighbourhoods are bitmasks, as in g.adj.  A vertex's rank is its degree
+    and then its label, so the least rank is the lowest vertex of least
+    degree."""
     nbr = {v: a for v, a in enumerate(g.adj) if a}
-    degree = {v: a.bit_count() for v, a in nbr.items()}
-    order = []
-    width = 0
-    while degree:
-        v = min(degree, key=degree.get)
+    rank = {v: a.bit_count() << 8 | v for v, a in nbr.items()}
+    while rank:
+        v = min(rank.values()) & 255
+        del rank[v]
         live = nbr.pop(v)
-        width = max(width, degree.pop(v))
+        bit = 1 << v
+        nbrs = []
         rest = live
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
-            nbr[a] = fill = (nbr[a] | live) & ~low & ~(1 << v)
-            degree[a] = fill.bit_count()
+            # a and v are in a's neighbourhood or in live, each exactly once
+            nbr[a] = fill = (nbr[a] | live) ^ low ^ bit
+            rank[a] = fill.bit_count() << 8 | a
+            nbrs.append(a)
             rest ^= low
+        yield v, nbrs
+
+
+def elimination_order(g: Graph):
+    """Min-degree-with-fill elimination order over non-isolated vertices.
+    Returns (order, width) where width is the largest neighbourhood summed
+    over."""
+    order, width = [], 0
+    for v, nbrs in _eliminations(g):
         order.append(v)
+        width = max(width, len(nbrs))
     return order, width
 
 
@@ -104,10 +117,9 @@ class _Plan(NamedTuple):
     width: int
 
 
-# the einsum letter of each vertex, z for the batch, and the bit of each
-# variable of a step in the patterns of _plan
+# the einsum letter of each variable of a step, by its place among the
+# step's sorted variables; z is the batch
 _LETTERS = "abcdefghijklmnopqrstuvwxy"[:MAX_VERTICES]
-_BITS = tuple([1 << a for a in range(MAX_VERTICES)])
 
 
 @lru_cache(maxsize=512)
@@ -118,99 +130,93 @@ def _plan(g: Graph) -> _Plan:
     eliminated vertex is one step, which multiplies the slots that hold it,
     sums the vertex out against the weights and either appends the result
     as a new slot or, when no variable is left, multiplies it into the
-    result.  Every array holds its variables' axes in sorted order.
+    result.  Every array holds its variables' axes in sorted order, then
+    the batch.
 
     steps are the batch-last walk of _t_batch, each step compiled into
-    factors: (alone, factors, weight_idx, contract, scalar).  alone are the
-    slots that hold only the eliminated vertex; they are multiplied into
-    the (k, B) weights.  The other slots are grouped by the variables they
-    hold, and each group is one factor, (slots, idx), multiplied at its own
-    size k^|vars| B.  Factors are ordered smallest first, and the weights
-    go into the first one through weight_idx, in that factor's own axes.
-    contract is einsum subscripts when there are two factors, which one
-    two-operand np.einsum contracts; otherwise it is the eliminated
-    vertex's axis, summed out of the broadcast product of the factors, each
-    read through idx, an index tuple of slice(None) and None over the
-    step's sorted variables.  One factor is summed as it is; three or more
-    occur only at width 3 and up.  A scalar step has no factor: its
-    weights are summed to one number a kernel.  The batch is the last axis
-    throughout, so the innermost loop of every product and every sum runs
-    over the kernels, not over a vertex axis of length k.
+    factors: (alone, factors, merges, subscripts).  alone are the slots
+    that hold only the eliminated vertex; they are multiplied into the
+    (k, B) weights.  The other slots are grouped by the variables they
+    hold, and each group is one factor, a tuple of slots multiplied at
+    their own size k^|vars| B; factors are in the order of their first
+    slots.  The weights and the factors are the operands of np.einsum, the
+    a-th variable of the step its a-th letter and z the batch, and the
+    weights stay an operand of their own: folding them into a factor would
+    cost a pass and a temporary array more.  numpy contracts three operands
+    or fewer with its fast loops and more with a much slower general one,
+    so each of merges multiplies the first two operands into one, without
+    summing, until three are left; subscripts contracts those.  A step of
+    width 2 or less has at most two factors and no merge.  A step with no
+    factor leaves no variable: its weights are summed to one number a
+    kernel.  The batch is the last axis throughout, so the innermost loop
+    of every product and every sum runs over the kernels, not over a vertex
+    axis of length k.
 
     grad_steps are the same steps batch first and unfactored, as
     _t_batch_grad reads them: (inputs, weight_idx, axis, scalar,
     weight_axes), with inputs (slot, index, reduced) in slot order, where
-    reduced are the axes an input's gradient is summed over and
-    weight_axes those the weights' gradient is; inputs that hold the same
-    variables of their step share these tuples.  width is
-    elimination_order's, for the size guards.  Each vertex keeps the live
-    slots that hold it, so compiling costs about the size of the plan.
-    512 entries, one a graph, keep the plans of a sweep's catalog graphs and
-    their subgraph classes while fresh graphs pass through."""
-    order, width = elimination_order(g)
+    index is an index tuple over the step's sorted variables, reduced are
+    the axes an input's gradient is summed over and weight_axes those the
+    weights' gradient is; inputs that hold the same variables of their
+    step share these tuples.  width is elimination_order's, for the size
+    guards.  The variables of a step are the eliminated vertex and its
+    neighbours at that point, as _eliminations yields them, and each vertex
+    keeps the live slots that hold it in slot order, so compiling costs
+    about the size of the plan.  512 entries, one a graph, keep the
+    plans of a sweep's catalog graphs and their subgraph classes while
+    fresh graphs pass through."""
     slot_vars = g.sorted_edges()
-    holders = [set() for _ in range(g.n)]
+    holders = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(slot_vars):
-        holders[a].add(i)
-        holders[b].add(i)
+        holders[a].append(i)
+        holders[b].append(i)
     patterns = {}
 
-    def reads(key):
-        # the index tuples and summed axes of one pattern of held variables,
-        # an int with bit a set when the a-th variable is held and a top bit
-        # above the variables; built once per plan
-        held = [key >> a & 1 for a in range(key.bit_length() - 1)]
+    def reads(held):
+        # the batch-first index tuple, the summed axes and the einsum letters
+        # of one pattern of held variables (one bool per variable of a step,
+        # whose a-th variable is the a-th letter), built once per plan
         axes = tuple([slice(None) if h else None for h in held])
-        patterns[key] = read = (axes + (...,), (...,) + axes,
-                                tuple([a for a, h in enumerate(held, 1) if not h]))
+        patterns[held] = read = (
+            (...,) + axes, tuple([a for a, h in enumerate(held, 1) if not h]),
+            "".join([_LETTERS[a] for a, h in enumerate(held) if h]) + "z")
         return read
 
-    steps, grad_steps = [], []
-    for v in order:
-        involved = sorted(holders[v])
-        union = sorted(set().union(*[slot_vars[i] for i in involved]))
-        top = 1 << len(union)
-        bit = dict(zip(union, _BITS))
+    steps, grad_steps, width = [], [], 0
+    for v, rest in _eliminations(g):
+        # the slots that hold v hold exactly v and its neighbours
+        width = max(width, len(rest))
+        axis = bisect(rest, v)
+        union = rest[:axis] + [v] + rest[axis:]
         first, groups = [], {}
-        for i in involved:
-            key = top
-            for t in slot_vars[i]:
-                key |= bit[t]
-                holders[t].discard(i)
-            _, first_idx, reduced = patterns.get(key) or reads(key)
+        for i in holders[v]:
+            held = slot_vars[i]
+            key = tuple([t in held for t in union])
+            first_idx, reduced, _ = patterns.get(key) or reads(key)
             first.append((i, first_idx, reduced))
-            if key in groups:
-                groups[key].append(i)
-            else:
-                groups[key] = [i]
-        axis = union.index(v)
-        alone_key = top | bit[v]
-        _, weight_first, weight_axes = patterns.get(alone_key) or reads(alone_key)
-        rest = tuple([t for t in union if t != v])
+            groups[key] = groups.get(key, ()) + (i,)
+            for t in held:
+                if t != v:
+                    holders[t].remove(i)
+        key = tuple([t == v for t in union])
+        weight_first, weight_axes, _ = patterns.get(key) or reads(key)
+        alone = groups.pop(key, ())
+        factors, merges, subscripts = (), (), None
         if rest:
+            rest = tuple(rest)
             for t in rest:
-                holders[t].add(len(slot_vars))
+                holders[t].append(len(slot_vars))
             slot_vars.append(rest)
-        alone = tuple(groups.pop(alone_key, ()))
-        keys = list(groups)
-        if len(keys) > 1:
-            # smallest factor first; sort is stable, so ties keep slot order
-            keys.sort(key=int.bit_count)
-        factors = tuple([(tuple(groups[key]), patterns[key][0]) for key in keys])
-        weight_idx = contract = None
-        if keys:
-            held = slot_vars[groups[keys[0]][0]]
-            weight = 1 << len(held) | 1 << held.index(v)
-            weight_idx = (patterns.get(weight) or reads(weight))[0]
-            contract = axis
-            if len(keys) == 2:
-                # each array's axes are its variables in sorted order, so a
-                # vertex's letter names its axis in every operand
-                other = slot_vars[groups[keys[1]][0]]
-                contract = "%sz,%sz->%sz" % ("".join([_LETTERS[t] for t in held]),
-                                             "".join([_LETTERS[t] for t in other]),
-                                             "".join([_LETTERS[t] for t in rest]))
-        steps.append((alone, factors, weight_idx, contract, not rest))
+            factors = tuple(groups.values())
+            operands = [_LETTERS[axis] + "z"] + [patterns[p][2] for p in groups]
+            while len(operands) > 3:
+                # letters sort as the step's variables do, and z last
+                a, b = operands[:2]
+                operands[:2] = ["".join(sorted(set(a + b)))]
+                merges += ("%s,%s->%s" % (a, b, operands[0]),)
+            subscripts = (",".join(operands) + "->" + _LETTERS[:axis]
+                          + _LETTERS[axis + 1:len(union)] + "z")
+        steps.append((alone, factors, merges, subscripts))
         grad_steps.append((tuple(first), weight_first, axis + 1, not rest, weight_axes))
     return _Plan(tuple(steps), tuple(grad_steps), width)
 
@@ -224,11 +230,11 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     copy, any other layout is copied into it once.  Each step runs its
     compiled factors (see _plan): the slots over the eliminated vertex alone
     scale the weights, each factor is the product of its slots at its own
-    size, the weights go into the smallest factor, and two factors are
-    contracted by one np.einsum, so no step builds the k^(width+1) B array
-    of all its inputs unless it has three or more factors.  B = 1 and
-    B = 1000 take the same route.  Isolated vertices contribute factor 1
-    since each weight vector sums to 1."""
+    size, and np.einsum contracts the weights and the factors, three
+    operands at most to a call, so a step of width 2 or less never builds
+    the k^(width+1) B product of all its inputs.  B = 1 and B = 1000 take
+    the same route.  Isolated
+    vertices contribute factor 1 since each weight vector sums to 1."""
     B = mu.shape[0]
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
@@ -236,34 +242,24 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     V = np.ascontiguousarray(V.transpose(1, 2, 0))
     mu = np.ascontiguousarray(mu.T)
     slots = [V] * g.e
-    for alone, factors, weight_idx, contract, scalar in _plan(g).steps:
+    for alone, factors, merges, subscripts in _plan(g).steps:
         weights = mu
         for i in alone:
             weights = weights * slots[i]
             slots[i] = None
-        if scalar:
+        if not factors:
             acc = acc * weights.sum(axis=0)
             continue
-        xs = []
-        for held, _ in factors:
+        xs = [weights]
+        for held in factors:
             x = None
             for i in held:
                 x = slots[i] if x is None else x * slots[i]
                 slots[i] = None
             xs.append(x)
-        # a product of two or more slots is a fresh array and takes the
-        # weights in place; a lone slot may be a view of V
-        if len(factors[0][0]) > 1:
-            xs[0] *= weights[weight_idx]
-        else:
-            xs[0] = xs[0] * weights[weight_idx]
-        if isinstance(contract, str):
-            slots.append(np.einsum(contract, *xs))
-        elif len(xs) == 1:
-            slots.append(xs[0].sum(axis=contract))
-        else:
-            slots.append(reduce(np.multiply, [x[idx] for x, (_, idx) in zip(xs, factors)])
-                         .sum(axis=contract))
+        for merge in merges:
+            xs[:2] = [np.einsum(merge, *xs[:2])]
+        slots.append(np.einsum(subscripts, *xs))
     return acc
 
 
@@ -440,8 +436,8 @@ def _packed(kernels: _Suite) -> _Pack:
 def _kernel(w: StepGraphon, exact: bool) -> _Pack:
     """The pack of one kernel, a pack of one like a suite's: t_hom,
     t_complement and m read its pair entry, one contraction of the batch
-    (w, 1 - w), and expansion_value and t_signed_kernel its signed
-    entries.  exact is part of the key because Fraction(1, 2) and 0.5
+    (w, 1 - w), and expansion_value and the battery's k3plus-cs check its
+    signed entries.  exact is part of the key because Fraction(1, 2) and 0.5
     compare and hash equal.  Eight entries hold the packs of the last eight
     kernels read; an inequality battery reads only w's."""
     return _Pack((w,), exact)
@@ -475,9 +471,10 @@ def t_signed(g: Graph, u: SignedStepGraphon):
     return _kernel(u, u.exact).density(g, False).item(0)
 
 
-def t_signed_kernel(g: Graph, w: StepGraphon):
+def _signed_entry(g: Graph, w: StepGraphon):
     """t_g(2w - 1), read from the signed entry of w's own pack: no 2w - 1
-    kernel is built."""
+    kernel is built.  expansion_value and inequalities.check_k3plus_cs read
+    it; t_signed is the public read of a signed kernel's own density."""
     return _kernel(w, w.exact).density(g, True).item(0)
 
 
@@ -505,7 +502,7 @@ def expansion_value(g: Graph, w: StepGraphon):
     signed kernel 2w - 1, read from the signed entries of w's own pack.
     Equals m(g, w) exactly for exact kernels."""
     scale = Fraction(2) ** (1 - g.e)
-    return scale * sum(c * t_signed_kernel(f, w) for f, c in even_expansion(g).items())
+    return scale * sum(c * _signed_entry(f, w) for f, c in even_expansion(g).items())
 
 
 def expansion_value_many(g: Graph, graphons) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .decomposition import find_triangle_decomposition
-from .density import m, t_complement, t_hom, t_signed_kernel
+from .density import _signed_entry, m, t_complement, t_hom
 from .graphs import (
     Graph,
     apex_add,
@@ -189,9 +189,9 @@ def check_k3plus_cs(w: StepGraphon, tol=INEQ_TOL):
     contraction squared is at most the product of the cherry and 4-cycle
     contractions, both of which are nonnegative.  The three densities are
     signed entries of w's own pack, so no 2w - 1 kernel is built."""
-    star = t_signed_kernel(catalog("k1,2"), w)
-    c4 = t_signed_kernel(catalog("c4"), w)
-    tail = t_signed_kernel(catalog("k3plus"), w)
+    star = _signed_entry(catalog("k1,2"), w)
+    c4 = _signed_entry(catalog("c4"), w)
+    tail = _signed_entry(catalog("k3plus"), w)
     return [
         _ge("k3plus-cs:star-nonneg", star, Fraction(0), w, tol),
         _ge("k3plus-cs:c4-nonneg", c4, Fraction(0), w, tol),

@@ -687,13 +687,16 @@ def _factored_graphs():
 
 
 def _route(step):
-    # the route of one factored step: its weights summed to a scalar, one
-    # factor summed, two contracted by einsum, or three or more broadcast
-    alone, factors, _, contract, scalar = step
-    if scalar:
+    # the route of one factored step: its weights summed to a scalar, or the
+    # weights and one, two, or three or more factors contracted by einsum;
+    # no einsum takes more than three operands, so each merge of two of them
+    # leaves one fewer for the last
+    alone, factors, merges, subscripts = step
+    if not factors:
         return "scalar"
-    assert isinstance(contract, str) == (len(factors) == 2)
-    return {1: "sum", 2: "einsum"}.get(len(factors), "broadcast")
+    assert subscripts.count(",") == min(len(factors), 2)
+    assert len(merges) == max(len(factors) - 2, 0)
+    return ("one", "two", "three+")[min(len(factors), 3) - 1]
 
 
 def test_factored_steps_match_enumeration():
@@ -707,9 +710,9 @@ def test_factored_steps_match_enumeration():
         assert len(steps) == active < g.n
         routes.update(_route(s) for s in steps)
         # slots over the eliminated vertex alone, in a step with factors
-        routes["alone"] += sum(1 for s in steps if s[0] and not s[4])
+        routes["alone"] += sum(1 for s in steps if s[0] and s[1])
         # a scalar step has no factor: only such slots and the weights
-        assert all(s[0] and not s[1] for s in steps if s[4])
+        assert all(s[0] for s in steps if not s[1])
         for k in (1, 2, 3):
             pool = [seeded_rational_kernel(k, rng) for _ in range(3)]
             want = [enumerated_density(g, w.values, w.weights) for w in pool]
@@ -723,14 +726,14 @@ def test_factored_steps_match_enumeration():
             t = _t_batch(g, V.astype(np.float64), mu.astype(np.float64))
             assert t.dtype == np.float64
             assert np.max(np.abs(t - np.array(want, dtype=np.float64))) <= 1e-12, (g, k)
-    assert {"scalar", "sum", "einsum", "broadcast", "alone"} <= set(routes), routes
+    assert {"scalar", "one", "two", "three+", "alone"} <= set(routes), routes
 
 
 def test_triangle_tree_steps_contract_at_most_two_factors():
     # a width-2 triangle tree never builds the product of all of a step's
-    # inputs: every step has at most two factors, and two are one einsum
+    # inputs: every step has at most two factors
     tree = random_triangle_tree(random.Random(26), 12)
     plan = density._plan(tree)
     assert plan.width == 2
     routes = Counter(_route(s) for s in plan.steps)
-    assert "broadcast" not in routes and routes["einsum"] > 0, routes
+    assert "three+" not in routes and routes["two"] > 0, routes

@@ -39,8 +39,8 @@ def test_layer_times_runs():
     assert all(t > 0 for t in times["tree_t_batch_us"].values())
     # a width-2 triangle tree contracts at most two factors a step
     routes = times["tree_routes"]
-    assert sorted(routes) == ["broadcast", "einsum", "scalar", "sum"]
-    assert routes["broadcast"] == 0 and routes["einsum"] > 0 and routes["scalar"] > 0
+    assert list(routes) == ["scalar", "one", "two", "three+"]
+    assert routes["three+"] == 0 and routes["two"] > 0 and routes["scalar"] > 0
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
     for by_size in times["t_batch_us"].values():
         assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]

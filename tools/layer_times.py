@@ -25,8 +25,8 @@ suite-sweep suite at seed 1):
   the 1000-kernel suite, keyed by the part count k = 2, 3 and 4 (about
   666 kernels each);
 - tree_routes: the steps of that tree's plan per route: scalar (weights
-  summed to one number a kernel), sum (one factor summed), einsum (two
-  factors contracted by np.einsum) and broadcast (three or more factors);
+  summed to one number a kernel), then one np.einsum over one, two, or
+  three or more factors (one, two, three+);
 - catalog_sweep: expansion_value_many then m_many on every catalog graph
   with at most 12 edges, starting from an empty density table: the table
   requests, the contractions they cost and the milliseconds (a median).
@@ -131,10 +131,10 @@ def tree_times(pack, number, repeat):
     for batches, _ in pack.groups:
         V, mu, _ = batches[False]
         us[str(mu.shape[1])] = _median_us(lambda: density._t_batch(tree, V, mu), number, repeat)
-    routes = dict.fromkeys(("scalar", "sum", "einsum", "broadcast"), 0)
-    for _, factors, _, _, scalar in density._plan(tree).steps:
-        route = "scalar" if scalar else ("sum", "einsum", "broadcast")[min(len(factors), 3) - 1]
-        routes[route] += 1
+    names = ("scalar", "one", "two", "three+")
+    routes = dict.fromkeys(names, 0)
+    for _, factors, _, _ in density._plan(tree).steps:
+        routes[names[min(len(factors), 3)]] += 1
     return {"tree_t_batch_us": dict(sorted(us.items())), "tree_routes": routes}
 
 
