@@ -11,11 +11,10 @@ rather than over a vertex axis of length k.  Each step is compiled into
 factors: the inputs that hold only the eliminated vertex scale the
 weights, the inputs that hold the same variables are multiplied at their
 own size, and np.einsum contracts the weights and the factors, three
-operands at most to a call, so a step of a triangle tree, which has at
-most two factors, never builds the k^(width+1) B product of all its
-inputs.
-A batch of one kernel and a batch of 1000 take the same route, in
-float64 and on exact object arrays alike.  Every density is a read of
+operands at most to a call, so no step of a triangle tree, whose steps
+have at most two factors, builds the k^(width+1) B product of all its
+inputs.  A batch of one kernel and a batch of 1000 take the same route,
+in float64 and on exact object arrays alike.  Every density is a read of
 one density table on a pack.  A pack holds each part-count group
 of its kernels already in that layout, as two batches: w and 1 - w side
 by side, and 2w - 1.  Its table contracts each batch once per graph and
@@ -145,8 +144,9 @@ def _plan(g: Graph) -> _Plan:
     cost a pass and a temporary array more.  numpy contracts three operands
     or fewer with its fast loops and more with a much slower general one,
     so each of merges multiplies the first two operands into one, without
-    summing, until three are left; subscripts contracts those.  A step of
-    width 2 or less has at most two factors and no merge.  A step with no
+    summing, until three are left; subscripts contracts those.  A graph of
+    width 2 or less has slots of at most two variables, so each of its
+    steps has at most two factors and no merge.  A step with no
     factor leaves no variable: its weights are summed to one number a
     kernel.  The batch is the last axis throughout, so the innermost loop
     of every product and every sum runs over the kernels, not over a vertex
@@ -184,7 +184,7 @@ def _plan(g: Graph) -> _Plan:
 
     steps, grad_steps, width = [], [], 0
     for v, rest in _eliminations(g):
-        # the slots that hold v hold exactly v and its neighbours
+        # between them, the slots that hold v hold v and its neighbours
         width = max(width, len(rest))
         axis = bisect(rest, v)
         union = rest[:axis] + [v] + rest[axis:]
@@ -231,10 +231,10 @@ def _t_batch(g: Graph, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
     compiled factors (see _plan): the slots over the eliminated vertex alone
     scale the weights, each factor is the product of its slots at its own
     size, and np.einsum contracts the weights and the factors, three
-    operands at most to a call, so a step of width 2 or less never builds
-    the k^(width+1) B product of all its inputs.  B = 1 and B = 1000 take
-    the same route.  Isolated
-    vertices contribute factor 1 since each weight vector sums to 1."""
+    operands at most to a call, so no step of a graph of width 2 or less
+    builds the k^(width+1) B product of all its inputs.  B = 1 and B = 1000
+    take the same route.  Isolated vertices contribute factor 1 since each
+    weight vector sums to 1."""
     B = mu.shape[0]
     acc = np.ones(B, dtype=V.dtype)
     if not g.edges:
