@@ -5,6 +5,10 @@ One verb per module surface, TSV on stdout, errors on stderr.  Exit status:
 Graphs are catalog names or paths to edge-list files; kernels accept the
 shorthands `half`, `random:<k>:<seed>`, `block:<graph file>`, or a path to
 a kernel text file.
+
+Each verb handler imports the package modules it reads when it runs, so a
+fresh process loads only its own verb's modules: `catalog` and `tritree`
+never load numpy.
 """
 from __future__ import annotations
 
@@ -14,28 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .certificate import conclude_commonality, load_certificate
-from .decomposition import find_triangle_decomposition
-from .density import _FLOAT_CAP, expansion_value, m, t_hom
-from .graphons import (
-    block_graphon,
-    corner_graphons,
-    format_graphon,
-    half,
-    parse_graphon,
-    random_graphon,
-    random_suite,
-)
 from .graphs import catalog, catalog_names, parse_graph
-from .inequalities import format_reports, standard_battery
-from .search import (
-    MinimizeConfig,
-    exact_ramsey_multiplicity,
-    estimate_ramsey_constant,
-    minimize_m,
-)
 
 
 def _fmt(x, exact: bool) -> str:
@@ -57,6 +40,11 @@ def _load_graph(spec: str):
 
 
 def _load_graphon(spec: str, exact_required: bool):
+    import numpy as np
+
+    from .density import _FLOAT_CAP
+    from .graphons import block_graphon, half, parse_graphon, random_graphon
+
     if spec == "half":
         w = half()
     elif spec.startswith("random:"):
@@ -82,18 +70,24 @@ def _load_graphon(spec: str, exact_required: bool):
 # verb handlers
 
 def _cmd_density(args) -> int:
+    from .density import t_hom
+
     w = _load_graphon(args.graphon, args.exact)
     print(_fmt(t_hom(_load_graph(args.graph), w), args.exact))
     return 0
 
 
 def _cmd_m(args) -> int:
+    from .density import m
+
     w = _load_graphon(args.graphon, args.exact)
     print(_fmt(m(_load_graph(args.graph), w), args.exact))
     return 0
 
 
 def _cmd_expand_check(args) -> int:
+    from .density import expansion_value, m
+
     g = _load_graph(args.graph)
     w = _load_graphon(args.graphon, args.exact)
     direct = m(g, w)
@@ -107,6 +101,8 @@ def _cmd_expand_check(args) -> int:
 
 
 def _cmd_tritree(args) -> int:
+    from .decomposition import find_triangle_decomposition
+
     rep = find_triangle_decomposition(_load_graph(args.graph))
     if rep is None:
         print("not a triangle-tree")
@@ -116,6 +112,9 @@ def _cmd_tritree(args) -> int:
 
 
 def _cmd_inequalities(args) -> int:
+    from .graphons import corner_graphons, random_suite
+    from .inequalities import format_reports, standard_battery
+
     if args.graphon is not None:
         reports = standard_battery(_load_graphon(args.graphon, args.exact), args.tolerance)
         sys.stdout.write(format_reports(reports))
@@ -138,6 +137,8 @@ def _cmd_inequalities(args) -> int:
 
 
 def _cmd_verify_certificate(args) -> int:
+    from .certificate import conclude_commonality, load_certificate
+
     if args.path is None:
         cert = load_certificate()
     else:
@@ -152,6 +153,9 @@ def _cmd_verify_certificate(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    from .graphons import format_graphon
+    from .search import MinimizeConfig, minimize_m
+
     cfg = MinimizeConfig(parts=args.parts, restarts=args.restarts,
                          max_iter=args.max_iter, seed=args.seed,
                          optimize_weights=args.optimize_weights)
@@ -162,6 +166,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    from .search import estimate_ramsey_constant, exact_ramsey_multiplicity
+
     g = _load_graph(args.graph)
     count = exact_ramsey_multiplicity(g, args.n)
     print("copies\t%d" % count)

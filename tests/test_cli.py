@@ -186,7 +186,7 @@ def test_random_kernel_past_the_float_cap_is_refused_before_it_is_built(capsys, 
     def refuse(*args):
         raise AssertionError("random_graphon called")
 
-    monkeypatch.setattr("commonality.cli.random_graphon", refuse)
+    monkeypatch.setattr("commonality.graphons.random_graphon", refuse)
     code, out, err = run(capsys, "m", "k2", "--graphon", "random:4097:1")
     assert (code, out) == (2, "")
     assert "float cap of 16777216" in err
@@ -231,7 +231,8 @@ def test_bad_kernels_exit_two_under_optimize(tmp_path):
 
 BAD_GRAPH_RUNS = [["m", spec, "--graphon", "half"]
                   for spec in ("k0", "k17", "c2", "p0", "k9,9", "beachball:1", "d:0")]
-BAD_GRAPH_RUNS.append(["expand-check", "k7", "--graphon", "half"])
+BAD_GRAPH_RUNS += [["expand-check", "k7", "--graphon", "half"], ["tritree", "k17"],
+                   ["ramsey", "c2", "5"]]
 
 
 def test_bad_graphs_exit_two(capsys):
@@ -287,10 +288,32 @@ def test_internal_failure_is_not_bad_input(monkeypatch):
         def broken(h):
             raise error("internal invariant")
 
-        monkeypatch.setattr("commonality.cli.find_triangle_decomposition", broken)
+        monkeypatch.setattr("commonality.decomposition.find_triangle_decomposition", broken)
         with pytest.raises(error):
             main(["tritree", "k3"])
 
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_light_verbs_load_only_the_modules_they_read():
+    # each handler imports what it reads when it runs, so importing the
+    # command line loads graphs alone, and catalog and tritree never load numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commonality.__file__)))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "sys.path.insert(0, %r)" % src,
+        "from commonality.cli import main",
+        "loaded = sorted(m for m in sys.modules if m.startswith('commonality.'))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(['catalog']), main(['tritree', 'jst'])]",
+        "print(repr((loaded, codes, 'numpy' in sys.modules)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, codes, numpy_loaded = ast.literal_eval(proc.stdout)
+    assert loaded == ["commonality.cli", "commonality.graphs"]
+    assert codes == [0, 0]
+    assert not numpy_loaded

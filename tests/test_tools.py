@@ -41,6 +41,9 @@ def test_layer_times_runs():
     routes = times["tree_routes"]
     assert list(routes) == ["scalar", "one", "two", "three+"]
     assert routes["three+"] == 0 and routes["two"] > 0 and routes["scalar"] > 0
+    assert list(times["cli_cold_ms"]) == list(mod.CLI_VERBS)
+    assert list(times["cli_floor_ms"]) == list(mod.PYTHON_FLOORS)
+    assert all(ms > 0 for ms in {**times["cli_cold_ms"], **times["cli_floor_ms"]}.values())
     assert sorted(times["t_batch_us"]) == sorted(mod.GRAPHS)
     for by_size in times["t_batch_us"].values():
         assert sorted(by_size, key=int) == [str(B) for B in mod.BATCH_SIZES]

@@ -50,13 +50,24 @@ suite-sweep suite at seed 1):
 - ramsey_ms: search.exact_ramsey_multiplicity(k3, n) at n = 6, 7 and 8,
   in milliseconds, each run with the caches of graphs.graph_classes and
   graphs.canonical_form cleared first, so that it includes building the
-  classes on n - 1 points (the median of up to three runs).
+  classes on n - 1 points (the median of up to three runs);
+- cli_cold_ms: the wall time of a fresh `python -m commonality.cli`
+  process for `catalog`, `tritree jst` and `m k3 --graphon half`, in
+  milliseconds, beside cli_floor_ms: `python -c pass` and
+  `python -c "import numpy"`, the floors a verb cannot beat (catalog and
+  tritree load no numpy).  The commands take turns, after one untimed
+  round, and each figure is the median of up to eleven runs; whether the
+  runs read cached bytecode follows the environment
+  (PYTHONDONTWRITEBYTECODE).
 """
 from __future__ import annotations
 
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
 import timeit
 from fractions import Fraction
 
@@ -70,6 +81,8 @@ FRESH_TREES = 36
 BATCH_SIZES = (1, 32, 1000)
 GRAPHS = ("k3", "c5", "k4")
 RAMSEY_POINTS = (6, 7, 8)
+CLI_VERBS = ("catalog", "tritree jst", "m k3 --graphon half")
+PYTHON_FLOORS = ("pass", "import numpy")
 
 
 def _median_us(fn, number, repeat):
@@ -109,6 +122,7 @@ def layer_times(repeat=15, number=20):
     times["battery_ms"] = battery_ms(repeat)
     times["certificate_ms"] = certificate_ms(repeat)
     times["ramsey_ms"] = ramsey_ms(min(repeat, 3))
+    times.update(cli_cold_ms(min(repeat, 11)))
     return times
 
 
@@ -209,6 +223,26 @@ def ramsey_ms(repeat):
     return {str(n): round(statistics.median(
                 timeit.repeat(lambda: cold(n), number=1, repeat=repeat)) * 1e3, 1)
             for n in RAMSEY_POINTS}
+
+
+def cli_cold_ms(repeat):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    commands = ([["-m", "commonality.cli"] + verb.split() for verb in CLI_VERBS]
+                + [["-c", code] for code in PYTHON_FLOORS])
+
+    def wall(args):
+        t0 = timeit.default_timer()
+        subprocess.run([sys.executable] + args, env=env, stdout=subprocess.DEVNULL, check=True)
+        return timeit.default_timer() - t0
+
+    for args in commands:
+        wall(args)
+    runs = [[wall(args) for args in commands] for _ in range(repeat)]
+    ms = [round(statistics.median(col) * 1e3, 1) for col in zip(*runs)]
+    return {"cli_cold_ms": dict(zip(CLI_VERBS, ms)),
+            "cli_floor_ms": dict(zip(PYTHON_FLOORS, ms[len(CLI_VERBS):]))}
 
 
 if __name__ == "__main__":
