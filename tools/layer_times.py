@@ -228,7 +228,7 @@ def ramsey_ms(repeat):
 def cli_cold_ms(repeat):
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphs.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     commands = ([["-m", "commonality.cli"] + verb.split() for verb in CLI_VERBS]
                 + [["-c", code] for code in PYTHON_FLOORS])
 
